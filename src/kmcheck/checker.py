@@ -12,13 +12,31 @@ reachability graph:
 
 The least such `k` is found by simply trying k = 1, 2, ... and stopping at
 the first bound with full send coverage; its safety check then settles the
-verdict.  All closures below run backwards over the edge list with explicit
-worklists, so each check is linear in the graph.
+verdict.
+
+Both safety properties say "from every reachable configuration, some event
+can still happen" (CTL `AG EF`), so one pass settles all of them.  Each edge
+carries an event bitmask: one bit per role ("the role moves") and one per
+live channel ("the channel's head is consumed").  A channel is live when some
+machine has a send on it; every other channel is always empty and gets no
+bit.  One iterative Tarjan condensation of the forward graph then gives each
+strongly connected component the OR of its members' bits and of the
+components it leads to, which Tarjan completes first.  Only configurations
+whose mask lacks some bit can witness a violation.
+
+Send coverage checks each (role, peer) pair on its own, but only where it can
+fail: at candidate nodes, where the role has a send to the peer and that
+queue is full.  A pair without candidates is skipped; otherwise one backward
+worklist over the edges of the other roles, from the nodes with room, tells
+which candidates are met.  Each pass is iterative and linear in the graph.
 """
 from __future__ import annotations
 
 import time
+from array import array
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import itemgetter
 
 from .model import Action, Direction, System
 from .semantics import BoundedGraph, Step, build_bounded_graph
@@ -102,18 +120,6 @@ def extract_trace(graph: BoundedGraph, node: int) -> tuple[Step, ...]:
     return tuple(steps)
 
 
-def _backward_closure(n: int, seeds: list[bool], rev: list[list[int]]) -> list[bool]:
-    reach = list(seeds)
-    work = [v for v in range(n) if reach[v]]
-    while work:
-        v = work.pop()
-        for u in rev[v]:
-            if not reach[u]:
-                reach[u] = True
-                work.append(u)
-    return reach
-
-
 def check_exhaustive(
     system: System, graph: BoundedGraph,
 ) -> tuple[tuple[int, str, Action], ...]:
@@ -123,29 +129,69 @@ def check_exhaustive(
     from the node to somewhere the send's target queue has room.  An empty
     result means the graph accounts for every send at this bound.
     """
-    n = len(graph.nodes)
+    nodes, k = graph.nodes, graph.k
+    n = len(nodes)
+    rev = None
     obligations: list[tuple[int, str, Action]] = []
     for ri, role in enumerate(system.roles):
-        machine = system.machines[role]
-        peers = sorted({a.peer for _, a, _ in machine.transitions
-                       if a.direction is Direction.SEND})
-        if not peers:
-            continue
-        rev: list[list[int]] = [[] for _ in range(n)]
-        for u, step, v in graph.edges:
-            if step.role != role:
-                rev[v].append(u)
-        for peer in peers:
+        sends: dict[str, dict[int, list[Action]]] = {}
+        for src, action, _ in system.machines[role].transitions:
+            if action.direction is Direction.SEND:
+                sends.setdefault(action.peer, {}).setdefault(src, []).append(action)
+        for peer in sorted(sends):
+            by_state = sends[peer]
             ci = system.channel_index[(role, peer)]
-            room = [len(node.buffers[ci]) < graph.k for node in graph.nodes]
-            reachable = _backward_closure(n, room, rev)
-            for i, node in enumerate(graph.nodes):
-                if reachable[i]:
-                    continue
-                for action, _ in machine.outgoing(node.locals[ri]):
-                    if action.direction is Direction.SEND and action.peer == peer:
-                        obligations.append((i, role, action))
+            # Only a node whose queue to `peer` is full can leave a send
+            # starved; a node with room meets its obligation on the spot.
+            room = bytearray(n)
+            candidates = []
+            for i, node in enumerate(nodes):
+                if len(node.buffers[ci]) < k:
+                    room[i] = 1
+                elif node.locals[ri] in by_state:
+                    candidates.append(i)
+            if not candidates:
+                continue
+            if rev is None:
+                rev = _reverse_adjacency(system, graph)
+            offsets, sources, movers = rev
+            # backwards from the nodes with room, until every candidate is met
+            pending = set(candidates)
+            work = [i for i in range(n) if room[i]]
+            for v in work:
+                for e in range(offsets[v], offsets[v + 1]):
+                    u = sources[e]
+                    if not room[u] and movers[e] != ri:
+                        room[u] = 1
+                        work.append(u)
+                        pending.discard(u)
+                if not pending:
+                    break
+            for i in candidates:
+                if i in pending:
+                    obligations.extend((i, role, a) for a in by_state[nodes[i].locals[ri]])
     return tuple(obligations)
+
+
+def _reverse_adjacency(system: System, graph: BoundedGraph):
+    """Incoming edges of every node as flat columns: the edges into `v` are
+    `offsets[v]:offsets[v + 1]`, with their source nodes in `sources` and the
+    index of the role that moves in `movers`."""
+    n = len(graph.nodes)
+    offsets = [0] * (n + 1)
+    for _, _, v in graph.edges:
+        offsets[v + 1] += 1
+    offsets = list(accumulate(offsets))
+    fill = offsets[:-1]
+    sources = array("i", [0]) * len(graph.edges)
+    movers = array("i", sources)
+    role_index = system.role_index
+    for u, step, v in graph.edges:
+        e = fill[v]
+        fill[v] = e + 1
+        sources[e] = u
+        movers[e] = role_index[step.role]
+    return offsets, sources, movers
 
 
 def check_safety(system: System, graph: BoundedGraph) -> tuple[Violation, ...]:
@@ -155,45 +201,67 @@ def check_safety(system: System, graph: BoundedGraph) -> tuple[Violation, ...]:
     state) at the smallest BFS depth, each carrying a replayable shortest
     trace.  An empty result means the system is safe at this bound.
     """
-    n = len(graph.nodes)
-    rev: list[list[int]] = [[] for _ in range(n)]
-    for u, _, v in graph.edges:
-        rev[v].append(u)
+    roles = system.roles
+    nodes, edges = graph.nodes, graph.edges
+    n = len(nodes)
+    # Event bits: bit r is "role r moves"; each live channel, one some machine
+    # sends on, gets a bit for "its head is consumed".  Every other channel
+    # stays empty, so it can neither hold nor lose a message.
+    live = sorted({system.channel_index[(role, action.peer)]
+                   for role in roles
+                   for _, action, _ in system.machines[role].transitions
+                   if action.direction is Direction.SEND})
+    channel_bit = {ci: 1 << (len(roles) + j) for j, ci in enumerate(live)}
+    full = (1 << (len(roles) + len(live))) - 1
+    # Steps carry their machine's own Action objects, so the bits of a step
+    # are looked up by the action's identity rather than its (slow) hash.
+    events: dict[str, dict[int, int]] = {}
+    for ri, role in enumerate(roles):
+        table = events[role] = {}
+        for _, action, _ in system.machines[role].transitions:
+            bits = 1 << ri
+            if action.direction is Direction.RECEIVE:
+                bits |= channel_bit.get(system.channel_index.get((action.peer, role)), 0)
+            table[id(action)] = bits
 
-    best: dict[tuple, tuple[int, int, object]] = {}
+    # Forward adjacency; edges are listed source by source in node order.
+    mask = [0] * n
+    offsets = [0] * (n + 1)
+    for u, step, _ in edges:
+        mask[u] |= events[step.role][id(step.action)]
+        offsets[u + 1] += 1
+    offsets = list(accumulate(offsets))
+    targets = array("i", map(itemgetter(2), edges))
+    reach = _reachable_events(offsets, targets, mask)
 
-    def consider(key: tuple, node: int, kind) -> None:
-        rank = (graph.depth[node], node)
-        if key not in best or rank < best[key][:2]:
-            best[key] = (rank[0], rank[1], kind)
-
-    for ri, role in enumerate(system.roles):
+    receiving = []
+    for role in roles:
         machine = system.machines[role]
-        seeds = [False] * n
-        for u, step, _ in graph.edges:
-            if step.role == role:
-                seeds[u] = True
-        movable = _backward_closure(n, seeds, rev)
-        for i, node in enumerate(graph.nodes):
+        receiving.append({src for src, _, _ in machine.transitions
+                          if machine.direction_of(src) is Direction.RECEIVE})
+    channels = []
+    for ci in live:
+        sender, receiver = system.channels[ci]
+        channels.append((channel_bit[ci], ci, sender, receiver, system.role_index[receiver]))
+    depth = graph.depth
+    best: dict[tuple, tuple[int, int, object]] = {}
+    for i, bits in enumerate(reach):
+        if bits == full:
+            continue
+        node = nodes[i]
+        d = depth[i]
+        for ri, role in enumerate(roles):
             state = node.locals[ri]
-            if machine.direction_of(state) is Direction.RECEIVE and not movable[i]:
-                consider(("progress", role, state), i, ProgressViolation(role, state))
-
-    for ci, (sender, receiver) in enumerate(system.channels):
-        seeds = [False] * n
-        for u, step, _ in graph.edges:
-            if (step.role == receiver and step.action.direction is Direction.RECEIVE
-                    and step.action.peer == sender):
-                seeds[u] = True
-        consumable = _backward_closure(n, seeds, rev)
-        qi = system.role_index[receiver]
-        for i, node in enumerate(graph.nodes):
-            if node.buffers[ci] and not consumable[i]:
-                label, sort = node.buffers[ci][0]
-                consider(
-                    ("reception", sender, receiver, node.locals[qi]),
-                    i,
-                    EventualReceptionViolation(sender, receiver, label, sort))
+            if not bits >> ri & 1 and state in receiving[ri]:
+                key = ("progress", role, state)
+                if key not in best or d < best[key][0]:
+                    best[key] = (d, i, ProgressViolation(role, state))
+        for bit, ci, sender, receiver, qi in channels:
+            if not bits & bit and node.buffers[ci]:
+                key = ("reception", sender, receiver, node.locals[qi])
+                if key not in best or d < best[key][0]:
+                    label, sort = node.buffers[ci][0]
+                    best[key] = (d, i, EventualReceptionViolation(sender, receiver, label, sort))
 
     violations = [
         Violation(kind, node, extract_trace(graph, node))
@@ -202,6 +270,65 @@ def check_safety(system: System, graph: BoundedGraph) -> tuple[Violation, ...]:
         len(v.trace), v.witness, v.kind.__class__.__name__,
         tuple(str(x) for x in vars(v.kind).values())))
     return tuple(violations)
+
+
+def _reachable_events(offsets: list[int], targets: array, mask: list[int]) -> list[int]:
+    """For every node, the OR of `mask` over all nodes reachable from it.
+
+    One iterative Tarjan pass: each strongly connected component completes
+    after every component it leads to, so its members' own bits plus the
+    final bits of those components give the component's answer at once.
+    `mask` is used as the per-node accumulator and overwritten.
+    """
+    n = len(mask)
+    order = [-1] * n
+    low = [0] * n
+    reach = [-1] * n  # final bits once the node's component has completed
+    cursor = offsets[:n]
+    scc: list[int] = []
+    counter = 0
+    for root in range(n):
+        if order[root] >= 0:
+            continue
+        order[root] = low[root] = counter
+        counter += 1
+        scc.append(root)
+        path = [root]
+        while path:
+            v = path[-1]
+            e, end = cursor[v], offsets[v + 1]
+            while e < end:
+                w = targets[e]
+                e += 1
+                if order[w] < 0:
+                    cursor[v] = e
+                    order[w] = low[w] = counter
+                    counter += 1
+                    scc.append(w)
+                    path.append(w)
+                    break
+                if reach[w] >= 0:
+                    mask[v] |= reach[w]
+                elif order[w] < low[v]:
+                    low[v] = order[w]
+            else:
+                path.pop()
+                if low[v] == order[v]:
+                    bits = mask[v]
+                    while True:
+                        w = scc.pop()
+                        reach[w] = bits
+                        if w == v:
+                            break
+                if path:
+                    u = path[-1]
+                    if reach[v] >= 0:
+                        mask[u] |= reach[v]
+                    else:
+                        mask[u] |= mask[v]
+                        if low[v] < low[u]:
+                            low[u] = low[v]
+    return reach
 
 
 def local_fingerprint(graph: BoundedGraph, role: str) -> frozenset:

@@ -120,7 +120,8 @@ class BoundedGraph:
     """Deduplicated reachability graph under a queue bound `k`.
 
     Nodes are numbered 0.. in breadth-first discovery order (0 is the initial
-    configuration), which makes numbering and edge order deterministic.
+    configuration), which makes numbering and edge order deterministic; edges
+    are listed source by source, in node order.
     `parent` records the discovery edge of each node, so following it back
     from any node replays one shortest derivation; `depth` is its length.
     """
@@ -132,8 +133,6 @@ class BoundedGraph:
     initial: int
     parent: list[tuple[int, Step] | None]
     depth: list[int]
-    index: dict[Configuration, int]
-    out: list[list[tuple[Step, int]]]
 
 
 def build_bounded_graph(
@@ -152,7 +151,6 @@ def build_bounded_graph(
     parent: list[tuple[int, Step] | None] = [None]
     depth = [0]
     edges: list[tuple[int, Step, int]] = []
-    out: list[list[tuple[Step, int]]] = [[]]
     queue = deque([0])
     while queue:
         u = queue.popleft()
@@ -166,8 +164,6 @@ def build_bounded_graph(
                 nodes.append(cfg)
                 parent.append((u, step))
                 depth.append(depth[u] + 1)
-                out.append([])
                 queue.append(v)
             edges.append((u, step, v))
-            out[u].append((step, v))
-    return BoundedGraph(system, k, nodes, edges, 0, parent, depth, index, out)
+    return BoundedGraph(system, k, nodes, edges, 0, parent, depth)

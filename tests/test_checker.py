@@ -15,7 +15,8 @@ from kmcheck.checker import (
     extract_trace,
     local_fingerprint,
 )
-from kmcheck.model import Direction, send
+from kmcheck.dsl import parse_system
+from kmcheck.model import Direction, Machine, System, receive, send
 from kmcheck.semantics import build_bounded_graph
 from kmcheck.simulator import replay
 
@@ -53,6 +54,33 @@ def test_prefetch_needs_two_slots():
                for _, role, action in blocked)
     g2 = build_bounded_graph(system, 2)
     assert check_exhaustive(system, g2) == ()
+
+
+def test_starved_send_cannot_wait_on_its_own_role():
+    # At k=1, p holds q!a while its queue to q is full.  Only p itself could
+    # set off the chain (r!b, then r's go) that lets q drain that queue, and
+    # a send's own role does not count towards covering it.
+    system = parse_system(
+        "role p: q!x; {q!a; end} or {r!b; q!a; end}\n"
+        "role q: r?go; p?x; p?a; end\n"
+        "role r: p?b; q!go; end\n")
+    assert check_exhaustive(system, build_bounded_graph(system, 1)) == (
+        (1, "p", send("q", "a")),)
+    assert check_exhaustive(system, build_bounded_graph(system, 2)) == ()
+
+
+def test_deep_graph_is_settled_without_recursion():
+    # Two 5,000-state chains give a graph whose depth-first search runs
+    # ~10,000 frames deep, far past the interpreter's recursion limit.
+    n = 5000
+    sender = Machine(frozenset(range(n + 1)), 0,
+                     tuple((i, send("b", f"m{i}"), i + 1) for i in range(n)))
+    receiver = Machine(frozenset(range(n + 1)), 0,
+                       tuple((i, receive("a", f"m{i}"), i + 1) for i in range(n)))
+    system = System(("a", "b"), {"a": sender, "b": receiver})
+    outcome = check_kmc_detailed(system, max_bound=1)
+    assert outcome.verdict == Safe(1, outcome.stats)
+    assert outcome.stats.configurations == 2 * n + 1
 
 
 def test_progress_bug_violations_match_reference(golden):

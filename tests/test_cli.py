@@ -104,6 +104,17 @@ def test_check_parse_error_positions(tmp_path, capsys):
     assert f"{bad}:1:17:" in err
 
 
+def test_deeply_nested_input_is_a_data_error(tmp_path, capsys):
+    deep = tmp_path / "deep.kmc"
+    sends = "; ".join(f"b!m{i}" for i in range(400))
+    receives = "; ".join(f"a?m{i}" for i in range(400))
+    deep.write_text(f"role a: {sends}; end\nrole b: {receives}; end\n")
+    assert main(["check", str(deep)]) == 65
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"{deep}: input nests too deeply\n"
+
+
 def test_usage_errors_exit_64():
     with pytest.raises(SystemExit) as info:
         main(["check", FIB, "--no-such-flag"])
