@@ -24,7 +24,7 @@ from .checker import (
     extract_trace,
     local_fingerprint,
 )
-from .dot import export_dot, machine_to_dot
+from .dot import machine_to_dot
 from .dsl import (
     DslError,
     ParseError,

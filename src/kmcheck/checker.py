@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 from operator import itemgetter
 
-from .model import Action, Direction, System
+from .model import Action, Direction, Severity, System, validate_system
 from .semantics import BoundedGraph, Step, build_bounded_graph
 
 DEFAULT_MAX_BOUND = 10
@@ -359,10 +359,14 @@ def check_kmc_detailed(
     Returns the verdict together with exploration statistics for the bound
     that settled it (or the last bound tried, when inconclusive).  With
     `collect_bounded`, safety findings from non-covering bounds are attached
-    to an inconclusive verdict as unverified hints.
+    to an inconclusive verdict as unverified hints.  A system that
+    `validate_system` reports errors for raises `ValueError`; lints pass.
     """
     if max_bound < 1:
         raise ValueError("max_bound must be at least 1")
+    errors = [str(d) for d in validate_system(system) if d.severity is Severity.ERROR]
+    if errors:
+        raise ValueError("invalid system: " + "; ".join(errors))
     started = time.perf_counter()
     bounds: list[int] = []
     last = None

@@ -74,10 +74,13 @@ def build_parser() -> _Parser:
 
 def _load(parser: _Parser, path: str):
     try:
-        text = pathlib.Path(path).read_text()
+        text = pathlib.Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         print(f"{parser.prog}: cannot read {path}: {exc.strerror or exc}", file=sys.stderr)
         raise SystemExit(EX_IOERR)
+    except UnicodeDecodeError:
+        print(f"{path}: not UTF-8 text", file=sys.stderr)
+        raise SystemExit(EX_DATAERR)
     try:
         return parse_system(text)
     except DslError as exc:

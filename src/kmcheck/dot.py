@@ -1,7 +1,7 @@
 """Graphviz DOT rendering of a system's machines."""
 from __future__ import annotations
 
-from .model import Machine, System
+from .model import Machine
 
 
 def machine_to_dot(role: str, machine: Machine) -> str:
@@ -25,7 +25,3 @@ def machine_to_dot(role: str, machine: Machine) -> str:
     lines.append("}")
     return "\n".join(lines) + "\n"
 
-
-def export_dot(system: System) -> str:
-    """All machines as DOT, one digraph per role, in role order."""
-    return "\n".join(machine_to_dot(r, system.machines[r]) for r in system.roles)

@@ -3,7 +3,9 @@
 Roles run concurrently and exchange messages over one FIFO queue per ordered
 role pair.  A send appends to the queue towards the peer and is enabled only
 while that queue holds fewer than `k` messages; a receive pops the head of
-the queue from the peer when label and sort match.  `build_bounded_graph`
+the queue from the peer when label and sort match.  `enabled_steps` is the
+only place that applies this rule: `apply_step`, `simulator.replay` and
+`simulator.simulate` all take their steps from it.  `build_bounded_graph`
 explores every interleaving under such a bound `k` breadth-first.
 """
 from __future__ import annotations
@@ -54,7 +56,7 @@ def initial_configuration(system: System) -> Configuration:
     )
 
 
-def _fire(system: System, cfg: Configuration, role_idx: int, dst: int,
+def _fire(cfg: Configuration, role_idx: int, dst: int,
           channel: int, push: Message | None) -> Configuration:
     locals_ = list(cfg.locals)
     locals_[role_idx] = dst
@@ -81,13 +83,13 @@ def enabled_steps(
             if action.direction is Direction.SEND:
                 ci = system.channel_index[(role, action.peer)]
                 if bound is None or len(cfg.buffers[ci]) < bound:
-                    nxt = _fire(system, cfg, ri, dst, ci, (action.label, action.sort))
+                    nxt = _fire(cfg, ri, dst, ci, (action.label, action.sort))
                     out.append((Step(role, action), nxt))
             else:
                 ci = system.channel_index[(action.peer, role)]
                 buf = cfg.buffers[ci]
                 if buf and buf[0] == (action.label, action.sort):
-                    nxt = _fire(system, cfg, ri, dst, ci, None)
+                    nxt = _fire(cfg, ri, dst, ci, None)
                     out.append((Step(role, action), nxt))
     return out
 
@@ -95,23 +97,11 @@ def enabled_steps(
 def apply_step(
     system: System, cfg: Configuration, step: Step, bound: int | None,
 ) -> Configuration | None:
-    """Successor of `cfg` after `step`, or None when the step is not enabled."""
-    ri = system.role_index.get(step.role)
-    if ri is None:
-        return None
-    for action, dst in system.machines[step.role].outgoing(cfg.locals[ri]):
-        if action != step.action:
-            continue
-        if action.direction is Direction.SEND:
-            ci = system.channel_index[(step.role, action.peer)]
-            if bound is not None and len(cfg.buffers[ci]) >= bound:
-                return None
-            return _fire(system, cfg, ri, dst, ci, (action.label, action.sort))
-        ci = system.channel_index[(action.peer, step.role)]
-        buf = cfg.buffers[ci]
-        if not buf or buf[0] != (action.label, action.sort):
-            return None
-        return _fire(system, cfg, ri, dst, ci, None)
+    """Successor of `cfg` after `step`, or None when `enabled_steps` does not
+    offer the step (unknown role, no such transition, or not enabled)."""
+    for enabled, nxt in enabled_steps(system, cfg, bound):
+        if enabled == step:
+            return nxt
     return None
 
 
@@ -130,7 +120,6 @@ class BoundedGraph:
     k: int
     nodes: list[Configuration]
     edges: list[tuple[int, Step, int]]
-    initial: int
     parent: list[tuple[int, Step] | None]
     depth: list[int]
 
@@ -166,4 +155,4 @@ def build_bounded_graph(
                 depth.append(depth[u] + 1)
                 queue.append(v)
             edges.append((u, step, v))
-    return BoundedGraph(system, k, nodes, edges, 0, parent, depth)
+    return BoundedGraph(system, k, nodes, edges, parent, depth)

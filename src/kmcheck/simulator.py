@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .model import Direction, System
-from .semantics import Configuration, Step, enabled_steps, initial_configuration
+from .semantics import Configuration, Step, apply_step, enabled_steps, initial_configuration
 
 
 class Outcome(Enum):
@@ -80,47 +80,30 @@ def replay(
 ) -> Configuration:
     """Drive the system through `trace` and return the final configuration.
 
-    Raises `ReplayError` at the first step that cannot be taken, so a trace
-    accepted by replay is a genuine execution under the given bound.
+    Each step is taken with `apply_step`, so it is enabled exactly when
+    `enabled_steps` offers it.  Raises `ReplayError` at the first step that
+    cannot be taken, so a trace accepted by replay is a genuine execution
+    under the given bound.
     """
     cfg = initial_configuration(system)
     for i, step in enumerate(trace):
-        action = step.action
-        if step.role not in system.role_index or action.peer not in system.role_index:
+        role, a = step.role, step.action
+        if role not in system.role_index or a.peer not in system.role_index:
             raise ReplayError(i, "unknown_role", f"unknown role in '{step}'")
-        ri = system.role_index[step.role]
-        state = cfg.locals[ri]
-        match = None
-        for a, dst in system.machines[step.role].outgoing(state):
-            if a == action:
-                match = (a, dst)
-                break
-        if match is None:
+        state = cfg.locals[system.role_index[role]]
+        if all(t != a for t, _ in system.machines[role].outgoing(state)):
             raise ReplayError(
-                i, "bad_action",
-                f"{step.role} has no transition '{action}' at state {state}")
-        a, dst = match
-        if a.direction is Direction.SEND:
-            ci = system.channel_index[(step.role, a.peer)]
-            if bound is not None and len(cfg.buffers[ci]) >= bound:
-                raise ReplayError(
-                    i, "not_enabled",
-                    f"queue {step.role}->{a.peer} is full, cannot send '{a.label}'")
-            buffers = list(cfg.buffers)
-            buffers[ci] = buffers[ci] + ((a.label, a.sort),)
-        else:
-            ci = system.channel_index[(a.peer, step.role)]
-            buf = cfg.buffers[ci]
-            if not buf or buf[0] != (a.label, a.sort):
+                i, "bad_action", f"{role} has no transition '{a}' at state {state}")
+        nxt = apply_step(system, cfg, step, bound)
+        if nxt is None:
+            if a.direction is Direction.SEND:
+                why = f"queue {role}->{a.peer} is full, cannot send '{a.label}'"
+            else:
+                buf = cfg.buffers[system.channel_index[(a.peer, role)]]
                 head = f"'{buf[0][0]}'" if buf else "nothing"
-                raise ReplayError(
-                    i, "not_enabled",
-                    f"{step.role} expects '{a.label}' from {a.peer} but {head} is queued")
-            buffers = list(cfg.buffers)
-            buffers[ci] = buf[1:]
-        locals_ = list(cfg.locals)
-        locals_[ri] = dst
-        cfg = Configuration(tuple(locals_), tuple(buffers))
+                why = f"{role} expects '{a.label}' from {a.peer} but {head} is queued"
+            raise ReplayError(i, "not_enabled", why)
+        cfg = nxt
     return cfg
 
 

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from kmcheck.checker import (
@@ -16,11 +18,12 @@ from kmcheck.checker import (
     local_fingerprint,
 )
 from kmcheck.dsl import parse_system
-from kmcheck.model import Direction, Machine, System, receive, send
+from kmcheck.model import Action, Direction, Machine, System, receive, send
 from kmcheck.semantics import build_bounded_graph
 from kmcheck.simulator import replay
 
-from conftest import fixture_system
+from conftest import FIXTURES, fixture_system
+from generators import random_system
 
 CLASS_OF = {Safe: "safe", Unsafe: "unsafe", Inconclusive: "inconclusive"}
 
@@ -67,6 +70,8 @@ def test_starved_send_cannot_wait_on_its_own_role():
     assert check_exhaustive(system, build_bounded_graph(system, 1)) == (
         (1, "p", send("q", "a")),)
     assert check_exhaustive(system, build_bounded_graph(system, 2)) == ()
+    # p's choice between q and r is a non-directed-choice lint, not an error
+    assert check_kmc(system).k == 2
 
 
 def test_deep_graph_is_settled_without_recursion():
@@ -81,6 +86,39 @@ def test_deep_graph_is_settled_without_recursion():
     outcome = check_kmc_detailed(system, max_bound=1)
     assert outcome.verdict == Safe(1, outcome.stats)
     assert outcome.stats.configurations == 2 * n + 1
+
+
+def _machine(*transitions, states=None):
+    if states is None:
+        states = {0} | {s for s, _, _ in transitions} | {d for _, _, d in transitions}
+    return Machine(frozenset(states), 0, tuple(transitions))
+
+
+HELLO_RECEIVER = _machine((0, receive("a", "hello"), 1))
+
+
+@pytest.mark.parametrize("machines, complaint", [
+    ({"a": _machine((0, send("z", "hello"), 1)), "b": HELLO_RECEIVER},
+     "unknown role 'z'"),
+    ({"a": _machine((0, send("a", "hello"), 1)), "b": HELLO_RECEIVER},
+     "communicates with 'a' itself"),
+    ({"a": _machine((0, send("b", "hello"), 1))},
+     "role 'b' has no machine"),
+    ({"a": _machine((0, send("b", "hello"), 1), (0, send("b", "hello"), 2)),
+      "b": HELLO_RECEIVER},
+     "sharing an action key"),
+    ({"a": _machine((0, send("b", "hello"), 2), states={0, 1}), "b": HELLO_RECEIVER},
+     "leaves the state set"),
+    ({"a": _machine((0, send("b", "hello"), 1), (0, receive("b", "bye"), 1)),
+      "b": HELLO_RECEIVER},
+     "mixes send and receive"),
+], ids=["unknown-peer", "self-communication", "missing-machine",
+        "nondeterminism", "dangling-transition", "mixed-state"])
+def test_hand_built_invalid_system_is_rejected(machines, complaint):
+    system = System(("a", "b"), machines)
+    with pytest.raises(ValueError, match="^invalid system: ") as info:
+        check_kmc(system)
+    assert complaint in str(info.value)
 
 
 def test_progress_bug_violations_match_reference(golden):
@@ -215,3 +253,33 @@ def test_fingerprint_grows_below_the_safe_bound():
 def test_max_bound_must_be_positive():
     with pytest.raises(ValueError):
         check_kmc(fixture_system("fib.kmc"), max_bound=0)
+
+
+def _renamed(system):
+    """The same protocol with every role and label renamed.  Role order is
+    reversed, so the channels are numbered in another order too."""
+    name = {r: f"role{len(system.roles) - i}" for i, r in enumerate(system.roles)}
+
+    def rename(a):
+        return Action(name[a.peer], a.direction, f"msg_{a.label}", a.sort)
+
+    return System(
+        tuple(name[r] for r in reversed(system.roles)),
+        {name[r]: Machine(m.states, m.initial,
+                          tuple((s, rename(a), d) for s, a, d in m.transitions))
+         for r, m in system.machines.items()})
+
+
+def _summary(system):
+    outcome = check_kmc_detailed(system, max_bound=4, max_configs=20_000)
+    verdict = outcome.verdict
+    return (_verdict_class(verdict), getattr(verdict, "k", None),
+            len(getattr(verdict, "violations", ())), outcome.stats.configurations)
+
+
+def test_renaming_roles_and_labels_keeps_the_verdict():
+    systems = [fixture_system(path.name) for path in sorted(FIXTURES.glob("*.kmc"))]
+    rng = random.Random(20261018)
+    systems += [random_system(rng, max_roles=4) for _ in range(500)]
+    for system in systems:
+        assert _summary(_renamed(system)) == _summary(system), system.roles

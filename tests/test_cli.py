@@ -115,6 +115,15 @@ def test_deeply_nested_input_is_a_data_error(tmp_path, capsys):
     assert err == f"{deep}: input nests too deeply\n"
 
 
+def test_non_utf8_input_is_a_data_error(tmp_path, capsys):
+    binary = tmp_path / "binary.kmc"
+    binary.write_bytes(b"role a: b!x; end\n\xff\n")
+    assert main(["check", str(binary)]) == 65
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"{binary}: not UTF-8 text\n"
+
+
 def test_usage_errors_exit_64():
     with pytest.raises(SystemExit) as info:
         main(["check", FIB, "--no-such-flag"])

@@ -78,7 +78,6 @@ def test_graph_counts_match_frozen_reference(golden):
 def test_breadth_first_numbering_and_parents():
     system = fixture_system("fib.kmc")
     graph = build_bounded_graph(system, 1)
-    assert graph.initial == 0
     assert graph.nodes[0] == initial_configuration(system)
     assert graph.depth == sorted(graph.depth)  # discovery in depth order
     assert graph.parent[0] is None

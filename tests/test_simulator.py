@@ -100,6 +100,21 @@ def test_replay_rejects_receive_before_send():
         replay(system, swapped, 1)
     assert info.value.index == 0
     assert info.value.reason == "not_enabled"
+    assert str(info.value) == "step 0: b expects 'hello' from a but nothing is queued"
+
+    # u takes the result while the progress update is still at the head
+    system = fixture_system("fib.kmc")
+    early = (
+        Step("u", send("m", "compute", "int")), Step("m", receive("u", "compute", "int")),
+        Step("m", send("w", "task", "int")), Step("m", send("w", "task", "int")),
+        Step("w", receive("m", "task", "int")), Step("w", send("m", "result", "int")),
+        Step("m", receive("w", "result", "int")), Step("m", send("u", "wip", "int")),
+        Step("u", receive("m", "result", "int")))
+    with pytest.raises(ReplayError) as info:
+        replay(system, early, None)
+    assert info.value.index == 8
+    assert info.value.reason == "not_enabled"
+    assert str(info.value) == "step 8: u expects 'result' from m but 'wip' is queued"
 
 
 def test_replay_rejects_unknown_role():
@@ -125,6 +140,7 @@ def test_replay_rejects_send_past_the_bound():
         replay(system, trace, 1)
     assert info.value.index == 1
     assert info.value.reason == "not_enabled"
+    assert str(info.value) == "step 1: queue a->b is full, cannot send 'item2'"
 
 
 def test_trace_text_roundtrip():
