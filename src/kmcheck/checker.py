@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 from operator import itemgetter
 
-from .model import Action, Direction, Severity, System, validate_system
+from .model import Action, Direction, System, require_valid_system
 from .semantics import BoundedGraph, Step, build_bounded_graph
 
 DEFAULT_MAX_BOUND = 10
@@ -364,9 +364,7 @@ def check_kmc_detailed(
     """
     if max_bound < 1:
         raise ValueError("max_bound must be at least 1")
-    errors = [str(d) for d in validate_system(system) if d.severity is Severity.ERROR]
-    if errors:
-        raise ValueError("invalid system: " + "; ".join(errors))
+    require_valid_system(system)
     started = time.perf_counter()
     bounds: list[int] = []
     last = None

@@ -88,11 +88,6 @@ def _load(parser: _Parser, path: str):
             print(f"{path}:{err.span.line}:{err.span.column}: {err.message}",
                   file=sys.stderr)
         raise SystemExit(EX_DATAERR)
-    except RecursionError:
-        # the front end walks terms recursively, so very long action
-        # sequences or deep nesting exhaust the interpreter's stack
-        print(f"{path}: input nests too deeply", file=sys.stderr)
-        raise SystemExit(EX_DATAERR)
 
 
 def _step_json(step) -> dict:

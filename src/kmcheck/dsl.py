@@ -15,7 +15,9 @@ defaults to ``unit``.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .model import (
     Action,
@@ -36,7 +38,6 @@ from .model import (
 )
 
 KEYWORDS = ("role", "rec", "end", "or")
-_PUNCT = "!?:;.<>{}"
 
 
 @dataclass(frozen=True)
@@ -69,8 +70,7 @@ class DslError(ValueError):
             f"{e.span.line}:{e.span.column}: {e.message}" for e in self.errors))
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # "ident", a keyword, one of the punctuation marks, or "eof"
     text: str
     line: int
@@ -81,45 +81,49 @@ class _Token:
         return SourceSpan(self.line, self.column, max(1, len(self.text)))
 
 
+# One lexeme per match, told apart by `lastindex`; blanks (' ', '\t',
+# '\r') match nothing and are skipped.  A word starts with a letter
+# (`[^\W\d_]` also admits the odd numeral that is no letter, which `_lex`
+# rejects) and continues with letters, digits or '_', as `str.isalnum` has
+# them.  A comment stops before its newline.
+_LEXEME = re.compile(r"(\n)|(//[^\n]*)|([^\W\d_]\w*)|([!?:;.<>{}])|([^ \t\r])")
+_NEWLINE, _COMMENT, _WORD, _MARK = 1, 2, 3, 4
+
+
 def _lex(text: str) -> tuple[list[_Token], list[ParseError]]:
     tokens: list[_Token] = []
     errors: list[ParseError] = []
-    line, col, i = 1, 1, 0
-    while i < len(text):
-        c = text[i]
-        if c == "\n":
-            line, col = line + 1, 1
-            i += 1
-        elif c in " \t\r":
-            col += 1
-            i += 1
-        elif text.startswith("//", i):
-            while i < len(text) and text[i] != "\n":
-                i += 1
-        elif c.isalpha():
-            start = i
-            while i < len(text) and (text[i].isalnum() or text[i] == "_"):
-                i += 1
-            word = text[start:i]
-            kind = word if word in KEYWORDS else "ident"
-            tokens.append(_Token(kind, word, line, col))
-            col += i - start
-        elif c in _PUNCT:
-            tokens.append(_Token(c, c, line, col))
-            col += 1
-            i += 1
+    line, line_start = 1, 0  # offset of the current line's first character
+    comment_col = None  # where a comment took the rest of the current line
+    search = _LEXEME.search
+    m = search(text)
+    while m is not None:
+        group, start, lexeme = m.lastindex, m.start(), m.group()
+        if group == _WORD and not lexeme[0].isalpha():
+            group, lexeme = None, lexeme[0]
+        col = start - line_start + 1
+        if group == _NEWLINE:
+            line, line_start, comment_col = line + 1, start + 1, None
+        elif group == _COMMENT:
+            comment_col = col
+        elif group == _WORD:
+            tokens.append(_Token(lexeme if lexeme in KEYWORDS else "ident", lexeme, line, col))
+        elif group == _MARK:
+            tokens.append(_Token(lexeme, lexeme, line, col))
         else:
-            errors.append(ParseError(SourceSpan(line, col), f"unexpected character {c!r}"))
-            col += 1
-            i += 1
-    tokens.append(_Token("eof", "", line, col))
+            errors.append(ParseError(SourceSpan(line, col), f"unexpected character {lexeme!r}"))
+        m = search(text, start + len(lexeme))
+    # a comment moves no column, so input that ends in one ends where it began
+    eof_col = comment_col if comment_col is not None else len(text) - line_start + 1
+    tokens.append(_Token("eof", "", line, eof_col))
     return tokens, errors
 
 
-def _merge(a: SourceSpan, b: SourceSpan) -> SourceSpan:
-    if a.line == b.line and b.column >= a.column:
-        return SourceSpan(a.line, a.column, b.column + b.length - a.column)
-    return a
+def _span_of(first: _Token, last: _Token) -> SourceSpan:
+    """Span from `first` through `last` when they share a line, else `first`'s."""
+    if first.line == last.line and last.column >= first.column:
+        return SourceSpan(first.line, first.column, last.column + len(last.text) - first.column)
+    return first.span
 
 
 class _Unexpected(Exception):
@@ -141,18 +145,24 @@ class _Parser:
             self.pos += 1
         return tok
 
+    # `pos` never passes the final "eof" token, so `tokens[pos]` is `peek()`
+    # and a token of any other kind can be stepped over directly.
+
     def accept(self, kind: str) -> _Token | None:
-        if self.peek().kind == kind:
-            return self.advance()
-        return None
+        tok = self.tokens[self.pos]
+        if tok.kind != kind:
+            return None
+        self.pos += 1
+        return tok
 
     def expect(self, kind: str, what: str) -> _Token:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok.kind != kind:
             found = f"'{tok.text}'" if tok.kind != "eof" else "end of input"
             self.errors.append(ParseError(tok.span, f"expected {what}, found {found}"))
             raise _Unexpected()
-        return self.advance()
+        self.pos += 1
+        return tok
 
     def parse_file(self) -> list[tuple[_Token, LocalType]]:
         decls: list[tuple[_Token, LocalType]] = []
@@ -169,46 +179,71 @@ class _Parser:
         return decls
 
     def parse_ltype(self) -> LocalType:
-        tok = self.peek()
-        if tok.kind == "end":
-            self.advance()
-            return End(tok.span)
-        if tok.kind == "rec":
-            self.advance()
-            var = self.expect("ident", "recursion variable")
-            self.expect(".", "'.' after recursion variable")
-            return RecBinder(var.text, self.parse_ltype(), _merge(tok.span, var.span))
-        if tok.kind == "{":
-            return self.parse_branches()
-        if tok.kind == "ident":
-            if self.peek(1).kind in ("!", "?"):
-                return Choice((self.parse_atom(),), tok.span)
-            self.advance()
-            return RecVar(tok.text, tok.span)
-        found = f"'{tok.text}'" if tok.kind != "eof" else "end of input"
-        self.errors.append(ParseError(
-            tok.span, f"expected 'end', 'rec', an action or a choice, found {found}"))
-        raise _Unexpected()
+        """One `ltype`, parsed with an explicit stack of the constructs still
+        waiting for their continuation, so nesting costs no interpreter
+        stack.  Any syntax error abandons the whole type."""
+        # ("rec", var, span) | ("atom", action, span) | ("prefix", span)
+        # | ("choice", span of '{', branches so far), innermost last
+        pending: list[tuple] = []
+        while True:
+            tok = self.peek()
+            if tok.kind == "end":
+                self.advance()
+                term = End(tok.span)
+            elif tok.kind == "rec":
+                self.advance()
+                var = self.expect("ident", "recursion variable")
+                self.expect(".", "'.' after recursion variable")
+                pending.append(("rec", var.text, _span_of(tok, var)))
+                continue
+            elif tok.kind == "{":
+                self.advance()
+                pending.append(("choice", tok.span, []))
+                pending.append(self.parse_atom())
+                continue
+            elif tok.kind == "ident" and self.peek(1).kind in ("!", "?"):
+                pending.append(("prefix", tok.span))
+                pending.append(self.parse_atom())
+                continue
+            elif tok.kind == "ident":
+                self.advance()
+                term = RecVar(tok.text, tok.span)
+            else:
+                found = f"'{tok.text}'" if tok.kind != "eof" else "end of input"
+                self.errors.append(ParseError(
+                    tok.span, f"expected 'end', 'rec', an action or a choice, found {found}"))
+                raise _Unexpected()
+            # `term` is complete: hand it to the constructs waiting for it
+            while pending:
+                frame = pending.pop()
+                if frame[0] == "rec":
+                    term = RecBinder(frame[1], term, frame[2])
+                elif frame[0] == "atom":
+                    term = Branch(frame[1], term, frame[2])
+                elif frame[0] == "prefix":
+                    term = Choice((term,), frame[1])
+                else:
+                    _, opening, branches = frame
+                    branches.append(term)
+                    self.expect("}", "'}' closing the branch")
+                    if self.accept("or"):
+                        self.expect("{", "'{'")
+                        pending.append(frame)
+                        pending.append(self.parse_atom())
+                        break
+                    if len(branches) < 2:
+                        self.errors.append(ParseError(
+                            opening,
+                            "a choice needs at least two branches; "
+                            "write a single action without braces"))
+                        raise _Unexpected()
+                    term = Choice(tuple(branches), opening)
+            else:
+                return term
 
-    def parse_branches(self) -> Choice:
-        opening = self.peek()
-        branches = [self.parse_braced_atom()]
-        while self.accept("or"):
-            branches.append(self.parse_braced_atom())
-        if len(branches) < 2:
-            self.errors.append(ParseError(
-                opening.span,
-                "a choice needs at least two branches; write a single action without braces"))
-            raise _Unexpected()
-        return Choice(tuple(branches), opening.span)
-
-    def parse_braced_atom(self) -> Branch:
-        self.expect("{", "'{'")
-        branch = self.parse_atom()
-        self.expect("}", "'}' closing the branch")
-        return branch
-
-    def parse_atom(self) -> Branch:
+    def parse_atom(self) -> tuple:
+        """The action of an `atom` up to its ';', as an ("atom", action, span)
+        frame waiting for the continuation."""
         peer = self.expect("ident", "peer role")
         mark = self.advance()
         if mark.kind not in ("!", "?"):
@@ -224,7 +259,7 @@ class _Parser:
         self.expect(";", "';' after the action")
         direction = Direction.SEND if mark.kind == "!" else Direction.RECEIVE
         action = Action(peer.text, direction, label.text, sort)
-        return Branch(action, self.parse_ltype(), _merge(peer.span, last.span))
+        return ("atom", action, _span_of(peer, last))
 
 
 def parse_system(text: str) -> System:

@@ -147,10 +147,36 @@ def check_local_type(
     """
     known = set(roles) if roles is not None else None
     issues: list[TypeIssue] = []
-
-    def walk(t: LocalType, guarded: dict[str, bool]) -> None:
+    # Work items, next one last: a sub-term to walk under the guardedness of
+    # the variables in scope, or a branch whose checks come before its tail.
+    # Each choice's branches share its `seen` and `direction`.
+    stack: list[tuple] = [(lt, {})]
+    while stack:
+        item = stack.pop()
+        if isinstance(item[0], Branch):
+            b, seen, direction, after = item
+            a = b.action
+            key = a.key
+            if a.direction is not direction:
+                issues.append(TypeIssue(
+                    MixedChoice, "choice mixes send and receive branches", b.span))
+            if key in seen:
+                issues.append(TypeIssue(
+                    DuplicateBranch,
+                    f"duplicate branch '{a.peer}{a.direction.value}{a.label}' in choice",
+                    b.span))
+            seen[key] = b
+            if subject is not None and a.peer == subject:
+                issues.append(TypeIssue(
+                    LocalTypeError, f"role '{subject}' communicates with itself", b.span))
+            if known is not None and a.peer not in known:
+                issues.append(TypeIssue(
+                    LocalTypeError, f"unknown peer role '{a.peer}'", b.span))
+            stack.append((b.tail, after))
+            continue
+        t, guarded = item
         if isinstance(t, End):
-            return
+            continue
         if isinstance(t, RecVar):
             if t.var not in guarded:
                 issues.append(TypeIssue(
@@ -160,34 +186,15 @@ def check_local_type(
                     UnguardedRecursion,
                     f"recursion variable '{t.var}' is used without an action in between",
                     t.span))
-            return
+            continue
         if isinstance(t, RecBinder):
-            walk(t.body, {**guarded, t.var: False})
-            return
+            stack.append((t.body, {**guarded, t.var: False}))
+            continue
         seen: dict[tuple[str, Direction, str], Branch] = {}
         direction = t.branches[0].action.direction if t.branches else None
-        for b in t.branches:
-            a = b.action
-            if a.direction is not direction:
-                issues.append(TypeIssue(
-                    MixedChoice, "choice mixes send and receive branches", b.span))
-            if a.key in seen:
-                issues.append(TypeIssue(
-                    DuplicateBranch,
-                    f"duplicate branch '{a.peer}{a.direction.value}{a.label}' in choice",
-                    b.span))
-            seen[a.key] = b
-            if subject is not None and a.peer == subject:
-                issues.append(TypeIssue(
-                    LocalTypeError, f"role '{subject}' communicates with itself", b.span))
-            if known is not None and a.peer not in known:
-                issues.append(TypeIssue(
-                    LocalTypeError, f"unknown peer role '{a.peer}'", b.span))
-            # crossing an action guards every recursion variable in scope
-            walk(b.tail, {v: True for v in guarded})
-        return
-
-    walk(lt, {})
+        # crossing an action guards every recursion variable in scope
+        after = guarded if all(guarded.values()) else {v: True for v in guarded}
+        stack.extend((b, seen, direction, after) for b in reversed(t.branches))
     return issues
 
 
@@ -226,43 +233,122 @@ class Machine:
         return out[0][0].direction if out else None
 
 
-def _close(t: LocalType, env: dict[str, LocalType | None]) -> LocalType:
-    # Substitute every free recursion variable by its (already closed) binder
-    # term.  Variables bound inside `t` map to None and stay put.
-    if isinstance(t, End):
-        return t
-    if isinstance(t, RecVar):
-        repl = env[t.var]
-        return t if repl is None else repl
-    if isinstance(t, RecBinder):
-        return RecBinder(t.var, _close(t.body, {**env, t.var: None}), t.span)
-    return Choice(
-        tuple(Branch(b.action, _close(b.tail, env), b.span) for b in t.branches),
-        t.span)
+_Key = tuple  # ("E",) | ("V", var) | ("R", var, body) | ("C", ((action, tail), ...))
+_END: _Key = ("E",)
+_NO_VARS: frozenset[str] = frozenset()
 
 
-def _subst(t: LocalType, var: str, repl: LocalType) -> LocalType:
-    if isinstance(t, RecVar):
-        return repl if t.var == var else t
-    if isinstance(t, RecBinder):
-        if t.var == var:  # shadowed
-            return t
-        return RecBinder(t.var, _subst(t.body, var, repl), t.span)
-    if isinstance(t, Choice):
-        return Choice(
-            tuple(Branch(b.action, _subst(b.tail, var, repl), b.span) for b in t.branches),
-            t.span)
-    return t
+class _Terms:
+    """Hash-consed local types: one int id per distinct term.
 
+    A term's key names its sub-terms by id, so two terms get the same id
+    exactly when they are structurally equal: binder and variable names take
+    part, spans do not, and alpha-variants stay distinct.  `free[i]` holds
+    the free recursion variables of term `i`.  Nothing here recurses, so the
+    depth of a term costs no interpreter stack.
+    """
 
-def _behaviour(t: LocalType) -> LocalType:
-    # Unfold leading binders (`rec t. T` behaves as `T[t := rec t. T]`) until
-    # an action choice or `end` surfaces.  Guarded recursion makes this
-    # terminate; `t` must be closed, so no bare variable can surface.
-    while isinstance(t, RecBinder):
-        t = _subst(t.body, t.var, t)
-    assert not isinstance(t, RecVar)
-    return t
+    def __init__(self) -> None:
+        self.ids: dict[_Key, int] = {}
+        self.keys: list[_Key] = []
+        self.free: list[frozenset[str]] = []
+        # (var, repl) -> {term id: id with free `var` replaced by `repl`}
+        self._substituted: dict[tuple[str, int], dict[int, int]] = {}
+
+    def intern(self, key: _Key) -> int:
+        i = self.ids.setdefault(key, len(self.keys))
+        if i < len(self.keys):
+            return i
+        tag = key[0]
+        if tag == "E":
+            free = _NO_VARS
+        elif tag == "V":
+            free = frozenset((key[1],))
+        elif tag == "R":
+            free = self.free[key[2]] - {key[1]}
+        elif len(key[1]) == 1:
+            free = self.free[key[1][0][1]]
+        else:
+            free = _NO_VARS.union(*(self.free[tail] for _, tail in key[1]))
+        self.keys.append(key)
+        self.free.append(free)
+        return i
+
+    def close(self, lt: LocalType) -> int:
+        """Id of `lt`, interned bottom-up.
+
+        A type that passed `check_local_type` binds every variable it uses,
+        so interning it is all that closing it takes.
+        """
+        done: list[int] = []  # ids of finished sub-terms, left to right
+        stack: list[tuple[LocalType, bool]] = [(lt, False)]
+        while stack:
+            t, children_done = stack.pop()
+            if isinstance(t, End):
+                done.append(self.intern(_END))
+            elif isinstance(t, RecVar):
+                done.append(self.intern(("V", t.var)))
+            elif not children_done:
+                stack.append((t, True))
+                if isinstance(t, RecBinder):
+                    stack.append((t.body, False))
+                else:
+                    stack.extend((b.tail, False) for b in reversed(t.branches))
+            elif isinstance(t, RecBinder):
+                done.append(self.intern(("R", t.var, done.pop())))
+            else:
+                first = len(done) - len(t.branches)
+                tails = done[first:]
+                del done[first:]
+                done.append(self.intern(
+                    ("C", tuple((b.action, tail) for b, tail in zip(t.branches, tails)))))
+        return done[0]
+
+    def subst(self, root: int, var: str, repl: int) -> int:
+        """Id of term `root` with its free `var` replaced by term `repl`.
+
+        Memoised on (root, var, repl); sub-terms in which `var` is not free
+        come back unchanged.  `repl` must be closed, so nothing is captured.
+        """
+        free, keys = self.free, self.keys
+        if var not in free[root]:
+            return root
+        memo = self._substituted.setdefault((var, repl), {})
+        stack = [root]
+        while stack:
+            i = stack[-1]
+            if i in memo:
+                stack.pop()
+                continue
+            key = keys[i]
+            if key[0] == "V":  # free, so it is `var` itself
+                memo[i] = repl
+                stack.pop()
+                continue
+            children = (key[2],) if key[0] == "R" else tuple(tail for _, tail in key[1])
+            todo = [c for c in children if var in free[c] and c not in memo]
+            if todo:
+                stack.extend(todo)
+                continue
+            stack.pop()
+            if key[0] == "R":
+                memo[i] = self.intern(("R", key[1], memo[key[2]]))
+            else:
+                memo[i] = self.intern(("C", tuple(
+                    (action, memo[tail] if var in free[tail] else tail)
+                    for action, tail in key[1])))
+        return memo[root]
+
+    def behaviour(self, i: int) -> int:
+        """Unfold leading binders (`rec t. T` behaves as `T[t := rec t. T]`)
+        until an action choice or `end` surfaces.  Guarded recursion makes
+        this terminate; `i` must be closed, so no bare variable surfaces."""
+        key = self.keys[i]
+        while key[0] == "R":
+            i = self.subst(key[2], key[1], i)
+            key = self.keys[i]
+        assert key[0] != "V"
+        return i
 
 
 def local_type_to_machine(lt: LocalType, subject: str) -> Machine:
@@ -270,9 +356,10 @@ def local_type_to_machine(lt: LocalType, subject: str) -> Machine:
 
     States are the distinct behaviours among sub-terms of `lt`: a binder is
     identified with its body, a recursion variable with its binder, and
-    structurally identical sub-terms share one state.  Ids are assigned in
-    depth-first order of first reachability, so the initial state is 0 and
-    numbering is canonical.
+    structurally identical sub-terms share one state.  Identity is
+    structural, binder names included, so alpha-variants are distinct
+    states.  Ids are assigned in depth-first order of first reachability, so
+    the initial state is 0 and numbering is canonical.
 
     Raises UnguardedRecursion, UnboundVariable, MixedChoice or
     DuplicateBranch on an ill-formed input.
@@ -282,17 +369,20 @@ def local_type_to_machine(lt: LocalType, subject: str) -> Machine:
         first = issues[0]
         raise first.kind(first.message, first.span)
 
-    root = _behaviour(_close(lt, {}))
-    ids: dict[LocalType, int] = {}
-    succ: list[list[tuple[Action, LocalType]]] = []
+    terms = _Terms()
+    keys = terms.keys
+    root = terms.behaviour(terms.close(lt))
+    ids: dict[int, int] = {}
+    succ: list[list[tuple[Action, int]]] = []
     stack = [root]
     while stack:
         t = stack.pop()
         if t in ids:
             continue
         ids[t] = len(succ)
-        if isinstance(t, Choice):
-            row = [(b.action, _behaviour(b.tail)) for b in t.branches]
+        key = keys[t]
+        if key[0] == "C":
+            row = [(action, terms.behaviour(tail)) for action, tail in key[1]]
         else:
             row = []
         succ.append(row)
@@ -467,3 +557,11 @@ def validate_system(system: System) -> list[Diagnostic]:
 
 def has_errors(diags: Iterable[Diagnostic]) -> bool:
     return any(d.severity is Severity.ERROR for d in diags)
+
+
+def require_valid_system(system: System) -> None:
+    """Raise `ValueError("invalid system: …")` listing the errors that
+    `validate_system` reports for `system`; lints pass."""
+    errors = [str(d) for d in validate_system(system) if d.severity is Severity.ERROR]
+    if errors:
+        raise ValueError("invalid system: " + "; ".join(errors))

@@ -129,8 +129,10 @@ def build_bounded_graph(
 ) -> BoundedGraph:
     """Breadth-first exploration of every configuration reachable under `k`.
 
-    Raises `ResourceExhausted` once more than `max_configs` distinct
-    configurations would have to be kept.
+    `system` must be valid (`validate_system` reports no errors): it is not
+    checked here, since callers explore one system under several bounds;
+    `check_kmc_detailed` checks it once.  Raises `ResourceExhausted` once
+    more than `max_configs` distinct configurations would have to be kept.
     """
     if k < 1:
         raise ValueError("bound must be at least 1")

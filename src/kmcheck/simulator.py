@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 
-from .model import Direction, System
+from .model import Direction, System, require_valid_system
 from .semantics import Configuration, Step, apply_step, enabled_steps, initial_configuration
 
 
@@ -44,7 +44,12 @@ def simulate(
     seed: int = 0,
     max_steps: int = 10_000,
 ) -> RunResult:
-    """One random run under queue bound `bound` (None = unbounded queues)."""
+    """One random run under queue bound `bound` (None = unbounded queues).
+
+    A system that `validate_system` reports errors for raises `ValueError`;
+    lints pass.
+    """
+    require_valid_system(system)
     rng = random.Random(seed)
     cfg = initial_configuration(system)
     trace: list[Step] = []

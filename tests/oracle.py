@@ -9,7 +9,18 @@ Slow, small, and easy to believe -- which is the point.
 """
 from __future__ import annotations
 
-from kmcheck.model import Direction, System
+from kmcheck.model import (
+    Action,
+    Branch,
+    Choice,
+    Direction,
+    End,
+    LocalType,
+    Machine,
+    RecBinder,
+    RecVar,
+    System,
+)
 
 Cfg = tuple  # ((state, ...), ((msg, ...), ...)) in sorted-role order
 
@@ -213,3 +224,79 @@ def min_rotten_depth(system: System, k: int) -> int:
 def graph_counts(system: System, k: int, cap: int = 200_000) -> tuple[int, int]:
     graph = explore(system, k, cap)
     return len(graph), sum(len(edges) for edges in graph.values())
+
+
+# --- reference local type compiler ------------------------------------------
+#
+# The term-rewriting compile that `model.local_type_to_machine` replaced:
+# every closed term is rebuilt and compared as a whole dataclass tree, which
+# costs time exponential in `rec` nesting and recurses once per action.  The
+# differential tests compare machines from both, so only small types belong
+# here.
+
+
+def _close(t: LocalType, env: dict[str, LocalType | None]) -> LocalType:
+    # Substitute every free recursion variable by its (already closed) binder
+    # term.  Variables bound inside `t` map to None and stay put.
+    if isinstance(t, End):
+        return t
+    if isinstance(t, RecVar):
+        repl = env[t.var]
+        return t if repl is None else repl
+    if isinstance(t, RecBinder):
+        return RecBinder(t.var, _close(t.body, {**env, t.var: None}), t.span)
+    return Choice(
+        tuple(Branch(b.action, _close(b.tail, env), b.span) for b in t.branches),
+        t.span)
+
+
+def _subst(t: LocalType, var: str, repl: LocalType) -> LocalType:
+    if isinstance(t, RecVar):
+        return repl if t.var == var else t
+    if isinstance(t, RecBinder):
+        if t.var == var:  # shadowed
+            return t
+        return RecBinder(t.var, _subst(t.body, var, repl), t.span)
+    if isinstance(t, Choice):
+        return Choice(
+            tuple(Branch(b.action, _subst(b.tail, var, repl), b.span) for b in t.branches),
+            t.span)
+    return t
+
+
+def _behaviour(t: LocalType) -> LocalType:
+    # Unfold leading binders (`rec t. T` behaves as `T[t := rec t. T]`) until
+    # an action choice or `end` surfaces.  Guarded recursion makes this
+    # terminate; `t` must be closed, so no bare variable can surface.
+    while isinstance(t, RecBinder):
+        t = _subst(t.body, t.var, t)
+    assert not isinstance(t, RecVar)
+    return t
+
+
+def reference_machine(lt: LocalType) -> Machine:
+    """The machine of a well-formed local type: states are the distinct
+    closed behaviours, numbered in depth-first order of first reachability."""
+    root = _behaviour(_close(lt, {}))
+    ids: dict[LocalType, int] = {}
+    succ: list[list[tuple[Action, LocalType]]] = []
+    stack = [root]
+    while stack:
+        t = stack.pop()
+        if t in ids:
+            continue
+        ids[t] = len(succ)
+        if isinstance(t, Choice):
+            row = [(b.action, _behaviour(b.tail)) for b in t.branches]
+        else:
+            row = []
+        succ.append(row)
+        for _, nxt in reversed(row):
+            if nxt not in ids:
+                stack.append(nxt)
+
+    transitions = tuple(
+        (src, action, ids[nxt])
+        for src, row in enumerate(succ)
+        for action, nxt in row)
+    return Machine(frozenset(range(len(succ))), 0, transitions)

@@ -104,15 +104,30 @@ def test_check_parse_error_positions(tmp_path, capsys):
     assert f"{bad}:1:17:" in err
 
 
-def test_deeply_nested_input_is_a_data_error(tmp_path, capsys):
-    deep = tmp_path / "deep.kmc"
-    sends = "; ".join(f"b!m{i}" for i in range(400))
-    receives = "; ".join(f"a?m{i}" for i in range(400))
-    deep.write_text(f"role a: {sends}; end\nrole b: {receives}; end\n")
-    assert main(["check", str(deep)]) == 65
+def test_long_action_sequence_checks_safe(tmp_path, capsys):
+    long = tmp_path / "long.kmc"
+    sends = "; ".join(f"b!m{i}" for i in range(10_000))
+    receives = "; ".join(f"a?m{i}" for i in range(10_000))
+    long.write_text(f"role a: {sends}; end\nrole b: {receives}; end\n")
+    assert main(["check", str(long)]) == 0
     out, err = capsys.readouterr()
-    assert out == ""
-    assert err == f"{deep}: input nests too deeply\n"
+    assert out.startswith(f"{long}: safe at k=1\n")
+    assert err == ""
+
+
+def test_deeply_nested_recursion_checks_safe(tmp_path, capsys):
+    # 30 nested binders, then a jump back to any of them; the peer mirrors it
+    def role(to: str) -> str:
+        back = " or ".join(f"{{{to}j{i}; t{i}}}" for i in range(30))
+        return "".join(f"rec t{i}. {to}m{i}; " for i in range(30)) + back
+
+    nested = tmp_path / "nested.kmc"
+    nested.write_text(f"role a: {role('b!')}\nrole b: {role('a?')}\n")
+    assert main(["check", str(nested)]) == 0
+    out, err = capsys.readouterr()
+    assert out.startswith(f"{nested}: safe at k=1\n")
+    assert "91 configurations" in out
+    assert err == ""
 
 
 def test_non_utf8_input_is_a_data_error(tmp_path, capsys):

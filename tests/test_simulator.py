@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from kmcheck.model import receive, send
+from kmcheck.model import Machine, System, receive, send
 from kmcheck.semantics import Step
 from kmcheck.simulator import (
     Outcome,
@@ -24,6 +24,22 @@ def test_handshake_run_is_forced():
     assert result.steps_taken == 2
     assert [str(s) for s in result.trace] == ["a b!hello<unit>", "b a?hello<unit>"]
     assert is_terminated(system, result.final)
+
+
+def _machine(*transitions) -> Machine:
+    return Machine(frozenset({0} | {d for _, _, d in transitions}), 0, transitions)
+
+
+@pytest.mark.parametrize("sender, complaint", [
+    (_machine((0, send("z", "hello"), 1)), "addresses unknown role 'z'"),
+    (_machine((0, send("b", "hello"), 1), (0, send("b", "hello"), 2)),
+     "sharing an action key"),
+], ids=["unknown-peer", "nondeterminism"])
+def test_simulate_rejects_invalid_system(sender, complaint):
+    system = System(("a", "b"), {"a": sender, "b": _machine((0, receive("a", "hello"), 1))})
+    with pytest.raises(ValueError, match="^invalid system: ") as info:
+        simulate(system, bound=1)
+    assert complaint in str(info.value)
 
 
 def test_same_seed_same_run():
