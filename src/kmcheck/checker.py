@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 from operator import itemgetter
 
-from .model import Action, Direction, System, require_valid_system
+from .model import Action, System, require_valid_system
 from .semantics import BoundedGraph, Step, build_bounded_graph
 
 DEFAULT_MAX_BOUND = 10
@@ -134,14 +134,14 @@ def check_exhaustive(
     rev = None
     obligations: list[tuple[int, str, Action]] = []
     for ri, role in enumerate(system.roles):
-        sends: dict[str, dict[int, list[Action]]] = {}
-        for src, action, _ in system.machines[role].transitions:
-            if action.direction is Direction.SEND:
-                sends.setdefault(action.peer, {}).setdefault(src, []).append(action)
-        for peer in sorted(sends):
-            by_state = sends[peer]
-            ci = system.channel_index[(role, peer)]
-            # Only a node whose queue to `peer` is full can leave a send
+        sends: dict[int, dict[int, list[Action]]] = {}  # channel -> state -> sends
+        for state, rows in system.step_table[ri].items():
+            for step, _, ci, _, is_send in rows:
+                if is_send:
+                    sends.setdefault(ci, {}).setdefault(state, []).append(step.action)
+        for ci in sorted(sends, key=lambda ci: system.channels[ci][1]):  # by peer
+            by_state = sends[ci]
+            # Only a node whose queue to the peer is full can leave a send
             # starved; a node with room meets its obligation on the spot.
             room = bytearray(n)
             candidates = []
@@ -201,44 +201,36 @@ def check_safety(system: System, graph: BoundedGraph) -> tuple[Violation, ...]:
     state) at the smallest BFS depth, each carrying a replayable shortest
     trace.  An empty result means the system is safe at this bound.
     """
-    roles = system.roles
+    system = graph.system  # the system whose table's steps label the edges
+    roles, table = system.roles, system.step_table
     nodes, edges = graph.nodes, graph.edges
     n = len(nodes)
     # Event bits: bit r is "role r moves"; each live channel, one some machine
     # sends on, gets a bit for "its head is consumed".  Every other channel
     # stays empty, so it can neither hold nor lose a message.
-    live = sorted({system.channel_index[(role, action.peer)]
-                   for role in roles
-                   for _, action, _ in system.machines[role].transitions
-                   if action.direction is Direction.SEND})
+    live = sorted({ci for by_state in table for rows in by_state.values()
+                   for _, _, ci, _, is_send in rows if is_send})
     channel_bit = {ci: 1 << (len(roles) + j) for j, ci in enumerate(live)}
     full = (1 << (len(roles) + len(live))) - 1
-    # Steps carry their machine's own Action objects, so the bits of a step
-    # are looked up by the action's identity rather than its (slow) hash.
-    events: dict[str, dict[int, int]] = {}
-    for ri, role in enumerate(roles):
-        table = events[role] = {}
-        for _, action, _ in system.machines[role].transitions:
-            bits = 1 << ri
-            if action.direction is Direction.RECEIVE:
-                bits |= channel_bit.get(system.channel_index.get((action.peer, role)), 0)
-            table[id(action)] = bits
+    # Edges carry the table's own `Step` objects, so an edge's bits are found
+    # by its step's identity rather than its (slow) hash.
+    events = {id(step): 1 << ri | (0 if is_send else channel_bit.get(ci, 0))
+              for ri, by_state in enumerate(table) for rows in by_state.values()
+              for step, _, ci, _, is_send in rows}
 
     # Forward adjacency; edges are listed source by source in node order.
     mask = [0] * n
     offsets = [0] * (n + 1)
     for u, step, _ in edges:
-        mask[u] |= events[step.role][id(step.action)]
+        mask[u] |= events[id(step)]
         offsets[u + 1] += 1
     offsets = list(accumulate(offsets))
     targets = array("i", map(itemgetter(2), edges))
     reach = _reachable_events(offsets, targets, mask)
 
-    receiving = []
-    for role in roles:
-        machine = system.machines[role]
-        receiving.append({src for src, _, _ in machine.transitions
-                          if machine.direction_of(src) is Direction.RECEIVE})
+    # a state is a receive state when its first transition is a receive
+    receiving = [{state for state, rows in by_state.items() if not rows[0][4]}
+                 for by_state in table]
     channels = []
     for ci in live:
         sender, receiver = system.channels[ci]

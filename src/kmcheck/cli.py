@@ -28,6 +28,7 @@ EX_OK = 0
 EX_USAGE = 64
 EX_DATAERR = 65
 EX_RESOURCE = 70
+EX_CRASH = 71  # a fault in kmcheck itself: not a verdict
 EX_IOERR = 74
 
 
@@ -250,6 +251,12 @@ def main(argv=None) -> int:
         return _run_export_dot(args)
     except SystemExit as exc:  # raised by _load with the right code
         return exc.code if isinstance(exc.code, int) else EX_USAGE
+    except MemoryError:
+        print(f"{args.file}: out of memory", file=sys.stderr)
+        return EX_RESOURCE
+    except Exception as exc:  # exit 1 would read as "unsafe"
+        print(f"kmcheck: internal error: {exc!r}", file=sys.stderr)
+        return EX_CRASH
 
 
 if __name__ == "__main__":

@@ -311,46 +311,58 @@ def machine_to_local_type(machine: Machine) -> LocalType:
     """Expand a machine back into a local type.
 
     Each state that a cycle re-enters becomes a ``rec t<id>.`` binder, so
-    variable names are stable across renders of the same machine.
+    variable names are stable across renders of the same machine.  A state
+    reached along several paths is expanded once per path, so the type can
+    grow exponentially with shared sub-behaviour.  Nothing here recurses.
     """
-
-    def uses(t: LocalType, var: str) -> bool:
-        if isinstance(t, RecVar):
-            return t.var == var
-        if isinstance(t, Choice):
-            return any(uses(b.tail, var) for b in t.branches)
-        if isinstance(t, RecBinder):
-            return t.var != var and uses(t.body, var)
-        return False
-
-    def expand(state: int, path: frozenset[int]) -> LocalType:
+    # the states being expanded, root first, each with whether a variable
+    # inside its expansion names it (then it needs a binder)
+    path: dict[int, bool] = {}
+    done: list[LocalType] = []  # finished terms, left to right
+    stack = [(machine.initial, False)]
+    while stack:
+        state, children_done = stack.pop()
         out = machine.outgoing(state)
-        if not out:
-            return End()
-        here = path | {state}
-        branches = tuple(
-            Branch(a, RecVar(f"t{dst}") if dst in here else expand(dst, here))
-            for a, dst in out)
-        body = Choice(branches)
-        return RecBinder(f"t{state}", body) if uses(body, f"t{state}") else body
-
-    return expand(machine.initial, frozenset())
+        if children_done:
+            first = len(done) - len(out)
+            term = Choice(tuple(Branch(a, tail) for (a, _), tail in zip(out, done[first:])))
+            del done[first:]
+            done.append(RecBinder(f"t{state}", term) if path.pop(state) else term)
+        elif state in path:
+            path[state] = True
+            done.append(RecVar(f"t{state}"))
+        elif not out:
+            done.append(End())
+        else:
+            path[state] = False
+            stack.append((state, True))
+            stack.extend((dst, False) for _, dst in reversed(out))
+    return done[0]
 
 
 def render_local_type(lt: LocalType) -> str:
-    if isinstance(lt, End):
-        return "end"
-    if isinstance(lt, RecVar):
-        return lt.var
-    if isinstance(lt, RecBinder):
-        return f"rec {lt.var}. {render_local_type(lt.body)}"
-    atoms = [
-        f"{b.action.peer}{b.action.direction.value}{b.action.label}"
-        f"<{b.action.sort}>; {render_local_type(b.tail)}"
-        for b in lt.branches]
-    if len(atoms) == 1:
-        return atoms[0]
-    return " or ".join("{" + a + "}" for a in atoms)
+    parts: list[str] = []
+    stack: list[LocalType | str] = [lt]  # text to emit or a term to render
+    while stack:
+        t = stack.pop()
+        if isinstance(t, str):
+            parts.append(t)
+        elif isinstance(t, End):
+            parts.append("end")
+        elif isinstance(t, RecVar):
+            parts.append(t.var)
+        elif isinstance(t, RecBinder):
+            parts.append(f"rec {t.var}. ")
+            stack.append(t.body)
+        else:
+            opening, closing = ("{", "}") if len(t.branches) > 1 else ("", "")
+            for i, b in reversed(tuple(enumerate(t.branches))):
+                a = b.action
+                stack += (closing, b.tail,
+                          f"{opening}{a.peer}{a.direction.value}{a.label}<{a.sort}>; ")
+                if i:
+                    stack.append(" or ")
+    return "".join(parts)
 
 
 def render_system(system: System) -> str:

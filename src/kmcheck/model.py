@@ -45,6 +45,20 @@ class Action:
         return (self.peer, self.direction, self.label)
 
 
+Message = tuple[str, str]  # (label, sort): what one queue slot holds
+
+
+@dataclass(frozen=True)
+class Step:
+    """One transition taken by one role."""
+
+    role: str
+    action: Action
+
+    def __str__(self) -> str:
+        return f"{self.role} {self.action}"
+
+
 def send(peer: str, label: str, sort: str = DEFAULT_SORT) -> Action:
     return Action(peer, Direction.SEND, label, sort)
 
@@ -226,11 +240,6 @@ class Machine:
 
     def is_terminal(self, state: int) -> bool:
         return not self._outgoing.get(state)
-
-    def direction_of(self, state: int) -> Direction | None:
-        """Direction of the state's actions; None for a terminal state."""
-        out = self._outgoing.get(state)
-        return out[0][0].direction if out else None
 
 
 _Key = tuple  # ("E",) | ("V", var) | ("R", var, body) | ("C", ((action, tail), ...))
@@ -451,6 +460,27 @@ class System:
     def channel_index(self) -> dict[tuple[str, str], int]:
         return {c: i for i, c in enumerate(self.channels)}
 
+    @cached_property
+    def step_table(self) -> tuple[dict[int, tuple[tuple, ...]], ...]:
+        """Per role index, each state's transitions in declaration order as
+        (step, dst, channel index, message, is_send) rows: a send appends
+        `message` to the channel, a receive pops it from its head.  One
+        `Step` per transition.  Needs a valid system (else `KeyError`)."""
+
+        def row(role: str, action: Action, dst: int) -> tuple:
+            is_send = action.direction is Direction.SEND
+            channel = (role, action.peer) if is_send else (action.peer, role)
+            return (Step(role, action), dst, self.channel_index[channel],
+                    (action.label, action.sort), is_send)
+
+        return tuple({src: tuple(row(role, action, dst) for action, dst in out)
+                      for src, out in self.machines[role]._outgoing.items()}
+                     for role in self.roles)
+
+    @cached_property
+    def _diagnostics(self) -> tuple[Diagnostic, ...]:
+        return tuple(_diagnose(self))
+
     def machine_of(self, role: str) -> Machine:
         return self.machines[role]
 
@@ -488,8 +518,13 @@ def validate_system(system: System) -> list[Diagnostic]:
     Errors cover role naming and uniqueness, machine/role agreement, state
     references, determinism, mixed send/receive states, self-communication,
     unknown peers and unreachable states.  A choice whose branches target
-    different peers is reported as a lint, not an error.
+    different peers is reported as a lint, not an error.  The report is
+    worked out once and cached on `system`; each call gets a new list.
     """
+    return list(system._diagnostics)
+
+
+def _diagnose(system: System) -> list[Diagnostic]:
     diags: list[Diagnostic] = []
     if not system.roles:
         diags.append(_error("no-roles", "system has no roles"))

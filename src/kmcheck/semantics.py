@@ -3,8 +3,10 @@
 Roles run concurrently and exchange messages over one FIFO queue per ordered
 role pair.  A send appends to the queue towards the peer and is enabled only
 while that queue holds fewer than `k` messages; a receive pops the head of
-the queue from the peer when label and sort match.  `enabled_steps` is the
-only place that applies this rule: `apply_step`, `simulator.replay` and
+the queue from the peer when label and sort match.  What a transition does
+to the queues (which queue, which message, push or pop) is decided in one
+place, the system's `step_table`; `enabled_steps` is the only place that
+applies the rule above to it: `apply_step`, `simulator.replay` and
 `simulator.simulate` all take their steps from it.  `build_bounded_graph`
 explores every interleaving under such a bound `k` breadth-first.
 """
@@ -13,9 +15,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .model import Action, Direction, System
-
-Message = tuple[str, str]  # (label, sort)
+from .model import Message, Step, System
 
 
 @dataclass(frozen=True)
@@ -28,17 +28,6 @@ class Configuration:
 
     locals: tuple[int, ...]
     buffers: tuple[tuple[Message, ...], ...]
-
-
-@dataclass(frozen=True)
-class Step:
-    """One transition taken by one role."""
-
-    role: str
-    action: Action
-
-    def __str__(self) -> str:
-        return f"{self.role} {self.action}"
 
 
 class ResourceExhausted(RuntimeError):
@@ -56,18 +45,6 @@ def initial_configuration(system: System) -> Configuration:
     )
 
 
-def _fire(cfg: Configuration, role_idx: int, dst: int,
-          channel: int, push: Message | None) -> Configuration:
-    locals_ = list(cfg.locals)
-    locals_[role_idx] = dst
-    buffers = list(cfg.buffers)
-    if push is not None:
-        buffers[channel] = buffers[channel] + (push,)
-    else:
-        buffers[channel] = buffers[channel][1:]
-    return Configuration(tuple(locals_), tuple(buffers))
-
-
 def enabled_steps(
     system: System, cfg: Configuration, bound: int | None,
 ) -> list[tuple[Step, Configuration]]:
@@ -75,22 +52,25 @@ def enabled_steps(
 
     Deterministically ordered: roles in system order, then each role's
     transitions in declaration order.  `bound` of None means queues are
-    unbounded (sends are always enabled).
+    unbounded (sends are always enabled).  `system` must be valid
+    (`validate_system` reports no errors).
     """
     out: list[tuple[Step, Configuration]] = []
-    for ri, role in enumerate(system.roles):
-        for action, dst in system.machines[role].outgoing(cfg.locals[ri]):
-            if action.direction is Direction.SEND:
-                ci = system.channel_index[(role, action.peer)]
-                if bound is None or len(cfg.buffers[ci]) < bound:
-                    nxt = _fire(cfg, ri, dst, ci, (action.label, action.sort))
-                    out.append((Step(role, action), nxt))
+    locals_, buffers = cfg.locals, cfg.buffers
+    for ri, by_state in enumerate(system.step_table):
+        for step, dst, ci, message, is_send in by_state.get(locals_[ri], ()):
+            queue = buffers[ci]
+            if is_send and (bound is None or len(queue) < bound):
+                queue += (message,)
+            elif not is_send and queue and queue[0] == message:
+                queue = queue[1:]
             else:
-                ci = system.channel_index[(action.peer, role)]
-                buf = cfg.buffers[ci]
-                if buf and buf[0] == (action.label, action.sort):
-                    nxt = _fire(cfg, ri, dst, ci, None)
-                    out.append((Step(role, action), nxt))
+                continue
+            moved = list(locals_)
+            moved[ri] = dst
+            queues = list(buffers)
+            queues[ci] = queue
+            out.append((step, Configuration(tuple(moved), tuple(queues))))
     return out
 
 
@@ -98,7 +78,8 @@ def apply_step(
     system: System, cfg: Configuration, step: Step, bound: int | None,
 ) -> Configuration | None:
     """Successor of `cfg` after `step`, or None when `enabled_steps` does not
-    offer the step (unknown role, no such transition, or not enabled)."""
+    offer the step (unknown role, no such transition, or not enabled).
+    `system` must be valid (`validate_system` reports no errors)."""
     for enabled, nxt in enabled_steps(system, cfg, bound):
         if enabled == step:
             return nxt

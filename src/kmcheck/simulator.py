@@ -88,23 +88,29 @@ def replay(
     Each step is taken with `apply_step`, so it is enabled exactly when
     `enabled_steps` offers it.  Raises `ReplayError` at the first step that
     cannot be taken, so a trace accepted by replay is a genuine execution
-    under the given bound.
+    under the given bound.  A system that `validate_system` reports errors
+    for raises `ValueError`; lints pass.
     """
+    require_valid_system(system)
     cfg = initial_configuration(system)
     for i, step in enumerate(trace):
         role, a = step.role, step.action
         if role not in system.role_index or a.peer not in system.role_index:
             raise ReplayError(i, "unknown_role", f"unknown role in '{step}'")
-        state = cfg.locals[system.role_index[role]]
-        if all(t != a for t, _ in system.machines[role].outgoing(state)):
+        ri = system.role_index[role]
+        state = cfg.locals[ri]
+        for row_step, _, ci, _, is_send in system.step_table[ri].get(state, ()):
+            if row_step == step:
+                break
+        else:
             raise ReplayError(
                 i, "bad_action", f"{role} has no transition '{a}' at state {state}")
         nxt = apply_step(system, cfg, step, bound)
         if nxt is None:
-            if a.direction is Direction.SEND:
+            if is_send:
                 why = f"queue {role}->{a.peer} is full, cannot send '{a.label}'"
             else:
-                buf = cfg.buffers[system.channel_index[(a.peer, role)]]
+                buf = cfg.buffers[ci]
                 head = f"'{buf[0][0]}'" if buf else "nothing"
                 why = f"{role} expects '{a.label}' from {a.peer} but {head} is queued"
             raise ReplayError(i, "not_enabled", why)

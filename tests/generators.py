@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 
+from kmcheck.dsl import parse_system
 from kmcheck.model import (
     Action,
     Branch,
@@ -114,3 +115,36 @@ def random_roundtrip_system(rng: random.Random) -> System:
             budget=rng.randint(4, 10))
         machines[role] = local_type_to_machine(lt, role)
     return System(roles, machines)
+
+
+def own_move_system(rng: random.Random) -> System:
+    """Three roles where a starved send can be freed only by its own role.
+
+    The sender fills its queue to the target with `fills` messages, then
+    chooses between one more message to the target and a request to the
+    helper (a choice between different peers).  The target reads nothing
+    before the helper's go, and the helper sends go only after the request,
+    so at bound k = `fills` the pending send waits on the sender's own move
+    alone.  Fill count, labels, branch order, role order and which roles
+    loop are drawn from `rng`.
+    """
+    sender, target, helper = rng.sample(("p", "q", "r"), 3)
+    fills = [rng.choice(("req", "ack", "data")) for _ in range(rng.randint(1, 2))]
+    last, request, go = (rng.choice(("req", "ack", "data")) for _ in range(3))
+
+    def loop() -> tuple[str, str]:
+        # (what opens a role's type, what ends each of its runs)
+        return ("rec t. ", "t") if rng.random() < 0.5 else ("", "end")
+
+    fill = "".join(f"{target}!{label}; " for label in fills)
+    opening, end = loop()
+    branches = [f"{target}!{last}; {end}", f"{helper}!{request}; {target}!{last}; {end}"]
+    rng.shuffle(branches)
+    decls = {sender: opening + fill + " or ".join("{" + b + "}" for b in branches)}
+    opening, end = loop()
+    reads = [f"{helper}?{go}"] + [f"{sender}?{label}" for label in fills + [last]]
+    decls[target] = opening + "".join(f"{a}; " for a in reads) + end
+    opening, end = loop()
+    decls[helper] = f"{opening}{sender}?{request}; {target}!{go}; {end}"
+    order = rng.sample(sorted(decls), 3)
+    return parse_system("".join(f"role {r}: {decls[r]}\n" for r in order))

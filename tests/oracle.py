@@ -160,7 +160,8 @@ def stuck_receivers(system: System, graph):
         m = system.machines[p]
         for cfg in graph:
             state = cfg[0][ridx[p]]
-            if m.direction_of(state) is Direction.RECEIVE and cfg not in can_move:
+            out = m.outgoing(state)
+            if out and out[0][0].direction is Direction.RECEIVE and cfg not in can_move:
                 stuck.append((cfg, p, state))
     return stuck
 

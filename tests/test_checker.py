@@ -134,7 +134,7 @@ def test_progress_bug_violations_match_reference(golden):
         ri = system.role_index[v.kind.role]
         assert final.locals[ri] == v.kind.state
         machine = system.machines[v.kind.role]
-        assert machine.direction_of(v.kind.state) is Direction.RECEIVE
+        assert {a.direction for a, _ in machine.outgoing(v.kind.state)} == {Direction.RECEIVE}
     stuck_m = [v for v in violations
                if isinstance(v.kind, ProgressViolation) and v.kind.role == "m"]
     assert len(stuck_m[0].trace) == \
@@ -156,6 +156,8 @@ def test_reception_bug_violations_match_reference(golden):
         assert final.buffers[ci] and final.buffers[ci][0] == ("result", "int")
     assert min(len(v.trace) for v in violations) == \
         golden["depths"]["fib_reception_bug.kmc"]["rotten"]
+    # an equal copy of the system, with a step table of its own, reads the same
+    assert check_safety(System(system.roles, system.machines), graph) == violations
 
 
 def test_orphan_message_detected():

@@ -18,7 +18,7 @@ from kmcheck.checker import (
 )
 from kmcheck.semantics import build_bounded_graph
 
-from generators import random_system
+from generators import own_move_system, random_system
 from oracle import (
     Blowup,
     bfs_depths,
@@ -80,28 +80,48 @@ def _compare_safety(system, graph, cfg_of, oracle_graph) -> None:
         {key: {cfg for cfg, _, _ in found} for key, found in rotten.items()})
 
 
+def _compare_bound(system, k) -> tuple | None:
+    """Compare both checks with the oracle at bound `k`; the starved send
+    obligations, or None when the oracle's graph outgrows its cap."""
+    try:
+        oracle_graph = explore(system, k, cap=1500)
+    except Blowup:
+        return None
+    graph = build_bounded_graph(system, k)
+    cfg_of = [_oracle_layout(system)(node) for node in graph.nodes]
+    assert set(cfg_of) == set(oracle_graph)
+
+    obligations = check_exhaustive(system, graph)
+    assert len(set(obligations)) == len(obligations)
+    assert {(cfg_of[i], role, action) for i, role, action in obligations} \
+        == set(unmet_obligations(system, k, oracle_graph))
+    _compare_safety(system, graph, cfg_of, oracle_graph)
+    return obligations
+
+
 def test_checks_agree_with_oracle_at_every_bound():
     rng = random.Random(20261017)
     started = time.monotonic()
     compared = starved = 0
     for _ in range(500):
         system = random_system(rng, max_roles=4)
-        convert = _oracle_layout(system)
         for k in (1, 2, 3):
-            try:
-                oracle_graph = explore(system, k, cap=1500)
-            except Blowup:
+            obligations = _compare_bound(system, k)
+            if obligations is None:
                 break
-            graph = build_bounded_graph(system, k)
-            cfg_of = [convert(node) for node in graph.nodes]
-            assert set(cfg_of) == set(oracle_graph)
-
-            obligations = check_exhaustive(system, graph)
-            assert len(set(obligations)) == len(obligations)
-            assert {(cfg_of[i], role, action) for i, role, action in obligations} \
-                == set(unmet_obligations(system, k, oracle_graph))
-            _compare_safety(system, graph, cfg_of, oracle_graph)
             compared += 1
             starved += bool(obligations)
     assert compared >= 1000 and starved >= 200, (compared, starved)
     assert time.monotonic() - started < 10.0
+
+
+def test_send_waiting_on_its_own_role_agrees_with_oracle():
+    # `own_move_system` starves a send that only its own role's moves could
+    # free, which `random_system` never draws
+    rng = random.Random(20261018)
+    starved = 0
+    for _ in range(100):
+        system = own_move_system(rng)
+        for k in (1, 2, 3):
+            starved += bool(_compare_bound(system, k))
+    assert starved >= 100, starved

@@ -8,6 +8,7 @@ import sys
 import jsonschema
 import pytest
 
+from kmcheck import cli
 from kmcheck.cli import main
 from kmcheck.simulator import parse_trace, replay
 
@@ -197,6 +198,21 @@ def test_config_cap_from_environment(capsys, monkeypatch):
     assert main(["check", FIB, "--max-configs", "1000000"]) == 0
     monkeypatch.setenv("KMC_MAX_CONFIGS", "lots")
     assert main(["check", FIB]) == 64
+
+
+@pytest.mark.parametrize("exc, code, message", [
+    (MemoryError(), 70, f"{FIB}: out of memory\n"),
+    (RuntimeError("boom\nagain"), 71,
+     "kmcheck: internal error: RuntimeError('boom\\nagain')\n"),
+], ids=["memory", "crash"])
+def test_crash_exits_with_a_code_that_is_not_a_verdict(capsys, monkeypatch, exc, code, message):
+    def crash(*args, **kwargs):
+        raise exc
+    monkeypatch.setattr(cli, "check_kmc_detailed", crash)
+    assert main(["check", FIB]) == code
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == message  # one line, no traceback
 
 
 def test_report_bounded_violations_flag(capsys):

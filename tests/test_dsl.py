@@ -13,7 +13,15 @@ from kmcheck.dsl import (
     render_local_type,
     render_system,
 )
-from kmcheck.model import Direction, find_isomorphism, local_type_to_machine
+from kmcheck.model import (
+    Direction,
+    Machine,
+    System,
+    find_isomorphism,
+    local_type_to_machine,
+    receive,
+    send,
+)
 
 from conftest import FIXTURES, fixture_text
 from generators import random_roundtrip_system
@@ -163,6 +171,21 @@ def test_machine_expansion_renders_parseable_text():
     rebuilt = local_type_to_machine(lt, "m")
     assert find_isomorphism(system.machines["m"], rebuilt) is not None
     assert "rec t0." in render_local_type(lt)
+
+
+def test_long_loop_renders_and_reparses():
+    # 10k states per machine, far past the interpreter's recursion limit;
+    # the one back edge closes the loop at the last state
+    n = 10_000
+    a = Machine(frozenset(range(n)), 0,
+                tuple((i, send("b", f"m{i}"), (i + 1) % n) for i in range(n)))
+    b = Machine(frozenset(range(n)), 0,
+                tuple((i, receive("a", f"m{i}"), (i + 1) % n) for i in range(n)))
+    system = System(("a", "b"), {"a": a, "b": b})
+    text = render_system(system)
+    sends = "; ".join(f"b!m{i}<unit>" for i in range(n))
+    assert text.startswith(f"role a: rec t0. {sends}; t0\nrole b: rec t0. a?m0<unit>; ")
+    assert parse_system(text).machines == system.machines
 
 
 def test_random_roundtrip_sample():

@@ -2,6 +2,9 @@ from __future__ import annotations
 
 import pytest
 
+from kmcheck import model
+from kmcheck.checker import check_kmc_detailed
+from kmcheck.dsl import parse_system
 from kmcheck.model import (
     Action,
     Branch,
@@ -24,8 +27,9 @@ from kmcheck.model import (
     send,
     validate_system,
 )
+from kmcheck.simulator import replay, simulate
 
-from conftest import fixture_system
+from conftest import fixture_system, fixture_text
 
 
 def _machine(*transitions: tuple[int, Action, int]) -> Machine:
@@ -263,6 +267,25 @@ def test_validate_non_directed_choice_is_a_lint_not_an_error():
     diags = validate_system(system)
     assert _errors(diags) == set()
     assert "non-directed-choice" in _lints(diags)
+
+
+def test_a_system_is_validated_once(monkeypatch):
+    diagnosed = []
+    real = model._diagnose
+
+    def counted(system):
+        diagnosed.append(system)
+        return real(system)
+
+    monkeypatch.setattr(model, "_diagnose", counted)
+    system = parse_system(fixture_text("fib.kmc"))
+    check_kmc_detailed(system)
+    simulate(system, bound=1)
+    replay(system, (), bound=1)
+    assert diagnosed == [system]
+    # every caller gets a list of its own
+    validate_system(system).append("mine")
+    assert validate_system(system) == []
 
 
 def test_isomorphism_rejects_mismatches():

@@ -42,6 +42,14 @@ def test_simulate_rejects_invalid_system(sender, complaint):
     assert complaint in str(info.value)
 
 
+def test_replay_rejects_invalid_system():
+    # the unknown peer sits in a state that the trace never reaches
+    sender = _machine((0, send("b", "hello"), 1), (1, send("z", "bye"), 2))
+    system = System(("a", "b"), {"a": sender, "b": _machine((0, receive("a", "hello"), 1))})
+    with pytest.raises(ValueError, match="^invalid system: .*unknown role 'z'"):
+        replay(system, [Step("a", send("b", "hello"))], bound=1)
+
+
 def test_same_seed_same_run():
     system = fixture_system("fib.kmc")
     a = simulate(system, bound=1, seed=42)
