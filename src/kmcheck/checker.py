@@ -27,16 +27,19 @@ whose mask lacks some bit can witness a violation.
 Send coverage checks each (role, peer) pair on its own, but only where it can
 fail: at candidate nodes, where the role has a send to the peer and that
 queue is full.  A pair without candidates is skipped; otherwise one backward
-worklist over the edges of the other roles, from the nodes with room, tells
-which candidates are met.  Each pass is iterative and linear in the graph.
+worklist over the edges of the other roles tells which candidates are met.
+It starts from the full nodes where the peer's receive makes room, the only
+step from a full queue to one with room.  Each pass is iterative and linear
+in the graph.  Both checks read the graph's columns (`BoundedGraph`)
+directly: flat configurations, and the source, step id and target of each
+edge.
 """
 from __future__ import annotations
 
 import time
 from array import array
 from dataclasses import dataclass
-from itertools import accumulate
-from operator import itemgetter
+from itertools import accumulate, compress
 
 from .model import Action, System, require_valid_system
 from .semantics import BoundedGraph, Step, build_bounded_graph
@@ -109,15 +112,20 @@ class CheckOutcome:
 
 def extract_trace(graph: BoundedGraph, node: int) -> tuple[Step, ...]:
     """One shortest derivation of `node` from the initial configuration."""
-    steps: list[Step] = []
-    while True:
-        link = graph.parent[node]
-        if link is None:
-            break
-        node, step = link[0], link[1]
-        steps.append(step)
-    steps.reverse()
-    return tuple(steps)
+    src, step_id, steps, parent_edge = graph.src, graph.step_id, graph.steps, graph.parent_edge
+    trace: list[Step] = []
+    e = parent_edge[node]
+    while e >= 0:
+        trace.append(steps[step_id[e]])
+        e = parent_edge[src[e]]
+    trace.reverse()
+    return tuple(trace)
+
+
+def _movers(graph: BoundedGraph) -> list[int]:
+    """The index of the role that moves, per step id."""
+    role_index = graph.system.role_index
+    return [role_index[step.role] for step in graph.steps]
 
 
 def check_exhaustive(
@@ -127,70 +135,90 @@ def check_exhaustive(
 
     An obligation is met when the other roles can step (zero or more times)
     from the node to somewhere the send's target queue has room.  An empty
-    result means the graph accounts for every send at this bound.
+    result means the graph accounts for every send at this bound.  The
+    `system` argument is not read: the answer is about `graph.system`, the
+    system whose steps label the edges.
     """
-    nodes, k = graph.nodes, graph.k
-    n = len(nodes)
+    system = graph.system
+    configs, k, steps, src, step_id = graph.configs, graph.k, graph.steps, graph.src, graph.step_id
+    n = len(configs)
+    first = len(system.roles)
+    receives: dict[int, list[int]] = {}  # slot -> ids of the steps that pop it
+    for by_state in graph.rows:
+        for rows in by_state.values():
+            for slot, _, is_send, _, sid in rows:
+                if not is_send:
+                    receives.setdefault(slot, []).append(sid)
     rev = None
     obligations: list[tuple[int, str, Action]] = []
     for ri, role in enumerate(system.roles):
-        sends: dict[int, dict[int, list[Action]]] = {}  # channel -> state -> sends
-        for state, rows in system.step_table[ri].items():
-            for step, _, ci, _, is_send in rows:
+        sends: dict[int, dict[int, list[Action]]] = {}  # slot -> state -> sends
+        for state, rows in graph.rows[ri].items():
+            for slot, _, is_send, _, sid in rows:
                 if is_send:
-                    sends.setdefault(ci, {}).setdefault(state, []).append(step.action)
-        for ci in sorted(sends, key=lambda ci: system.channels[ci][1]):  # by peer
-            by_state = sends[ci]
+                    sends.setdefault(slot, {}).setdefault(state, []).append(steps[sid].action)
+        for slot in sorted(sends, key=lambda slot: system.channels[graph.live[slot - first]][1]):
+            by_state = sends[slot]  # sends to one peer, by sender state
             # Only a node whose queue to the peer is full can leave a send
             # starved; a node with room meets its obligation on the spot.
             room = bytearray(n)
             candidates = []
-            for i, node in enumerate(nodes):
-                if len(node.buffers[ci]) < k:
+            for i, cfg in enumerate(configs):
+                if len(cfg[slot]) < k:
                     room[i] = 1
-                elif node.locals[ri] in by_state:
+                elif cfg[ri] in by_state:
                     candidates.append(i)
             if not candidates:
                 continue
             if rev is None:
-                rev = _reverse_adjacency(system, graph)
+                rev = _reverse_adjacency(graph)
             offsets, sources, movers = rev
-            # backwards from the nodes with room, until every candidate is met
-            pending = set(candidates)
-            work = [i for i in range(n) if room[i]]
+            # Only the peer's receive leads from a full queue to one with
+            # room, so the full nodes it leaves from are met in one step.
+            # Backwards from them over the other roles' edges, until every
+            # candidate is met.
+            pops = bytearray(len(steps))
+            for sid in receives.get(slot, ()):
+                pops[sid] = 1
+            work = []
+            for u in compress(src, map(pops.__getitem__, step_id)):
+                if not room[u]:
+                    room[u] = 1
+                    work.append(u)
+            pending = set(candidates).difference(work)
             for v in work:
+                if not pending:
+                    break
                 for e in range(offsets[v], offsets[v + 1]):
                     u = sources[e]
                     if not room[u] and movers[e] != ri:
                         room[u] = 1
                         work.append(u)
                         pending.discard(u)
-                if not pending:
-                    break
             for i in candidates:
                 if i in pending:
-                    obligations.extend((i, role, a) for a in by_state[nodes[i].locals[ri]])
+                    obligations.extend((i, role, a) for a in by_state[configs[i][ri]])
     return tuple(obligations)
 
 
-def _reverse_adjacency(system: System, graph: BoundedGraph):
+def _reverse_adjacency(graph: BoundedGraph):
     """Incoming edges of every node as flat columns: the edges into `v` are
     `offsets[v]:offsets[v + 1]`, with their source nodes in `sources` and the
     index of the role that moves in `movers`."""
-    n = len(graph.nodes)
+    n, dst = len(graph.configs), graph.dst
     offsets = [0] * (n + 1)
-    for _, _, v in graph.edges:
+    for v in dst:
         offsets[v + 1] += 1
     offsets = list(accumulate(offsets))
     fill = offsets[:-1]
-    sources = array("i", [0]) * len(graph.edges)
+    sources = array("i", [0]) * len(dst)
     movers = array("i", sources)
-    role_index = system.role_index
-    for u, step, v in graph.edges:
+    mover = _movers(graph)
+    for u, sid, v in zip(graph.src, graph.step_id, dst):
         e = fill[v]
         fill[v] = e + 1
         sources[e] = u
-        movers[e] = role_index[step.role]
+        movers[e] = mover[sid]
     return offsets, sources, movers
 
 
@@ -199,60 +227,58 @@ def check_safety(system: System, graph: BoundedGraph) -> tuple[Violation, ...]:
 
     Witnesses are minimised: one violation per (kind, role or channel, local
     state) at the smallest BFS depth, each carrying a replayable shortest
-    trace.  An empty result means the system is safe at this bound.
+    trace.  An empty result means the system is safe at this bound.  The
+    `system` argument is not read: the answer is about `graph.system`, the
+    system whose steps label the edges.
     """
-    system = graph.system  # the system whose table's steps label the edges
-    roles, table = system.roles, system.step_table
-    nodes, edges = graph.nodes, graph.edges
-    n = len(nodes)
-    # Event bits: bit r is "role r moves"; each live channel, one some machine
-    # sends on, gets a bit for "its head is consumed".  Every other channel
-    # stays empty, so it can neither hold nor lose a message.
-    live = sorted({ci for by_state in table for rows in by_state.values()
-                   for _, _, ci, _, is_send in rows if is_send})
-    channel_bit = {ci: 1 << (len(roles) + j) for j, ci in enumerate(live)}
-    full = (1 << (len(roles) + len(live))) - 1
-    # Edges carry the table's own `Step` objects, so an edge's bits are found
-    # by its step's identity rather than its (slow) hash.
-    events = {id(step): 1 << ri | (0 if is_send else channel_bit.get(ci, 0))
-              for ri, by_state in enumerate(table) for rows in by_state.values()
-              for step, _, ci, _, is_send in rows}
+    system = graph.system
+    roles, configs, live = system.roles, graph.configs, graph.live
+    n = len(configs)
+    first = len(roles)
+    # Event bits: bit r is "role r moves", and the bit of a live channel's
+    # slot is "its head is consumed".  Every other channel stays empty, so it
+    # can neither hold nor lose a message, and has neither slot nor bit.
+    full = (1 << (first + len(live))) - 1
+    events = [0] * len(graph.steps)
+    for ri, by_state in enumerate(graph.rows):
+        for rows in by_state.values():
+            for slot, _, is_send, _, sid in rows:
+                events[sid] = 1 << ri | (0 if is_send else 1 << slot)
 
     # Forward adjacency; edges are listed source by source in node order.
     mask = [0] * n
     offsets = [0] * (n + 1)
-    for u, step, _ in edges:
-        mask[u] |= events[id(step)]
+    for u, sid in zip(graph.src, graph.step_id):
+        mask[u] |= events[sid]
         offsets[u + 1] += 1
     offsets = list(accumulate(offsets))
-    targets = array("i", map(itemgetter(2), edges))
-    reach = _reachable_events(offsets, targets, mask)
+    reach = _reachable_events(offsets, graph.dst, mask)
 
     # a state is a receive state when its first transition is a receive
     receiving = [{state for state, rows in by_state.items() if not rows[0][4]}
-                 for by_state in table]
+                 for by_state in system.step_table]
     channels = []
-    for ci in live:
+    for slot, ci in enumerate(live, first):
         sender, receiver = system.channels[ci]
-        channels.append((channel_bit[ci], ci, sender, receiver, system.role_index[receiver]))
-    depth = graph.depth
+        channels.append((slot, sender, receiver, system.role_index[receiver]))
+    messages, depth = graph.messages, graph.depth
     best: dict[tuple, tuple[int, int, object]] = {}
     for i, bits in enumerate(reach):
         if bits == full:
             continue
-        node = nodes[i]
+        cfg = configs[i]
         d = depth[i]
         for ri, role in enumerate(roles):
-            state = node.locals[ri]
+            state = cfg[ri]
             if not bits >> ri & 1 and state in receiving[ri]:
                 key = ("progress", role, state)
                 if key not in best or d < best[key][0]:
                     best[key] = (d, i, ProgressViolation(role, state))
-        for bit, ci, sender, receiver, qi in channels:
-            if not bits & bit and node.buffers[ci]:
-                key = ("reception", sender, receiver, node.locals[qi])
+        for slot, sender, receiver, qi in channels:
+            if not bits >> slot & 1 and cfg[slot]:
+                key = ("reception", sender, receiver, cfg[qi])
                 if key not in best or d < best[key][0]:
-                    label, sort = node.buffers[ci][0]
+                    label, sort = messages[cfg[slot][0]]
                     best[key] = (d, i, EventualReceptionViolation(sender, receiver, label, sort))
 
     violations = [
@@ -331,11 +357,12 @@ def local_fingerprint(graph: BoundedGraph, role: str) -> frozenset:
     bound saturated the role's behaviour.
     """
     ri = graph.system.role_index[role]
-    states = {node.locals[ri] for node in graph.nodes}
-    fired: dict[int, set[Action]] = {s: set() for s in states}
-    for u, step, _ in graph.edges:
-        if step.role == role:
-            fired[graph.nodes[u].locals[ri]].add(step.action)
+    configs, steps = graph.configs, graph.steps
+    fired: dict[int, set[Action]] = {s: set() for s in {cfg[ri] for cfg in configs}}
+    mover = _movers(graph)
+    for u, sid in zip(graph.src, graph.step_id):
+        if mover[sid] == ri:
+            fired[configs[u][ri]].add(steps[sid].action)
     return frozenset((s, frozenset(actions)) for s, actions in fired.items())
 
 

@@ -481,9 +481,6 @@ class System:
     def _diagnostics(self) -> tuple[Diagnostic, ...]:
         return tuple(_diagnose(self))
 
-    def machine_of(self, role: str) -> Machine:
-        return self.machines[role]
-
 
 class Severity(Enum):
     ERROR = "error"

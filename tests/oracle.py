@@ -6,8 +6,16 @@ semantics and checker modules: configurations are re-modelled from scratch
 successors are enumerated by a different traversal, and each condition is a
 whole-graph fixpoint sweep with no worklists and no reverse adjacency.
 Slow, small, and easy to believe -- which is the point.
+
+The last sections keep two implementations the package replaced, for the
+differential tests: the term-rewriting local type compiler, and the explorer
+over full-width configurations (which takes its steps from the package's
+`enabled_steps`, the one step rule the compact explorer must agree with).
 """
 from __future__ import annotations
+
+from collections import deque
+from dataclasses import dataclass
 
 from kmcheck.model import (
     Action,
@@ -19,8 +27,10 @@ from kmcheck.model import (
     Machine,
     RecBinder,
     RecVar,
+    Step,
     System,
 )
+from kmcheck.semantics import Configuration, enabled_steps, initial_configuration
 
 Cfg = tuple  # ((state, ...), ((msg, ...), ...)) in sorted-role order
 
@@ -301,3 +311,43 @@ def reference_machine(lt: LocalType) -> Machine:
         for src, row in enumerate(succ)
         for action, nxt in row)
     return Machine(frozenset(range(len(succ))), 0, transitions)
+
+
+# --- reference explorer -----------------------------------------------------
+#
+# The breadth-first explorer that `semantics.build_bounded_graph` replaced:
+# it keeps every configuration as a full-width `Configuration`, takes its
+# steps from `enabled_steps` and lists edges as (src, step, dst) tuples.  The
+# differential tests compare its nodes, edges, parents and depths with the
+# compact explorer's views.
+
+
+@dataclass
+class ReferenceGraph:
+    nodes: list[Configuration]
+    edges: list[tuple[int, Step, int]]
+    parent: list[tuple[int, Step] | None]
+    depth: list[int]
+
+
+def reference_graph(system: System, k: int) -> ReferenceGraph:
+    init = initial_configuration(system)
+    nodes = [init]
+    index = {init: 0}
+    parent: list[tuple[int, Step] | None] = [None]
+    depth = [0]
+    edges: list[tuple[int, Step, int]] = []
+    queue = deque([0])
+    while queue:
+        u = queue.popleft()
+        for step, cfg in enabled_steps(system, nodes[u], k):
+            v = index.get(cfg)
+            if v is None:
+                v = len(nodes)
+                index[cfg] = v
+                nodes.append(cfg)
+                parent.append((u, step))
+                depth.append(depth[u] + 1)
+                queue.append(v)
+            edges.append((u, step, v))
+    return ReferenceGraph(nodes, edges, parent, depth)

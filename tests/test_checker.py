@@ -160,6 +160,17 @@ def test_reception_bug_violations_match_reference(golden):
     assert check_safety(System(system.roles, system.machines), graph) == violations
 
 
+def test_checks_read_the_graphs_own_system():
+    # the `system` argument is not read: a foreign one changes nothing
+    foreign = fixture_system("prefetch.kmc")
+    for name in ("fib.kmc", "fib_reception_bug.kmc", "flood.kmc"):
+        system = fixture_system(name)
+        graph = build_bounded_graph(system, 1)
+        assert check_exhaustive(foreign, graph) == check_exhaustive(graph.system, graph)
+        assert check_safety(foreign, graph) == check_safety(graph.system, graph)
+    assert check_exhaustive(foreign, graph) != ()  # flood starves a send at k=1
+
+
 def test_orphan_message_detected():
     system = fixture_system("orphan.kmc")
     graph = build_bounded_graph(system, 1)

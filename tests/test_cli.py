@@ -193,7 +193,8 @@ def test_json_output_is_stable_apart_from_timing(capsys):
 def test_config_cap_from_environment(capsys, monkeypatch):
     monkeypatch.setenv("KMC_MAX_CONFIGS", "10")
     assert main(["check", FIB]) == 70
-    assert "10 configurations" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        f"{FIB}: exploration at k=1 stopped after 10 configurations (cap 10)\n")
     # an explicit flag wins over the environment
     assert main(["check", FIB, "--max-configs", "1000000"]) == 0
     monkeypatch.setenv("KMC_MAX_CONFIGS", "lots")

@@ -106,8 +106,9 @@ def test_exploration_is_deterministic():
 def test_resource_cap_raises_with_count():
     system = fixture_system("fib.kmc")
     with pytest.raises(ResourceExhausted) as info:
-        build_bounded_graph(system, 1, max_configs=10)
-    assert info.value.configs_seen == 10
+        build_bounded_graph(system, 3, max_configs=10)
+    assert (info.value.configs_seen, info.value.k, info.value.cap) == (10, 3, 10)
+    assert str(info.value) == "exploration at k=3 stopped after 10 configurations (cap 10)"
 
 
 def test_bound_must_be_positive():
@@ -122,3 +123,29 @@ def test_apply_step_rejects_disabled_steps():
     ((recv_step, _),) = enabled_steps(system, after, 1)
     assert apply_step(system, cfg, recv_step, 1) is None  # nothing queued yet
     assert apply_step(system, after, send_step, 1) is None  # already sent
+
+
+def test_graph_views_are_read_only_sequences():
+    system = fixture_system("fib.kmc")
+    graph = build_bounded_graph(system, 2)
+    nodes, edges, parent = graph.nodes, graph.edges, graph.parent
+    n, m = len(graph.configs), len(graph.src)
+    assert (len(nodes), len(edges), len(parent)) == (n, m, n) and m > n > 2
+    assert nodes[0] == initial_configuration(system)
+    assert nodes[-1] == nodes[n - 1] and nodes[-n] == nodes[0]
+    assert edges[-1] == edges[m - 1] and parent[-1] == parent[n - 1]
+    assert parent[0] is None
+    for view, size in ((nodes, n), (edges, m), (parent, n)):
+        for i in (size, -size - 1):
+            with pytest.raises(IndexError):
+                view[i]
+        items = list(view)
+        assert len(items) == size and items == [view[i] for i in range(size)]
+        assert view == items and items == view and view[1:3] == items[1:3]
+        assert view != items[:-1] and view != tuple(items)
+        with pytest.raises(TypeError):
+            view[0] = items[0]
+    assert graph.nodes == build_bounded_graph(system, 2).nodes
+    assert graph.nodes != build_bounded_graph(system, 1).nodes
+    u, step, v = edges[0]
+    assert (u, v) == (graph.src[0], graph.dst[0]) and step is graph.steps[graph.step_id[0]]
