@@ -26,12 +26,15 @@ whose mask lacks some bit can witness a violation.
 
 Send coverage checks each (role, peer) pair on its own, but only where it can
 fail: at candidate nodes, where the role has a send to the peer and that
-queue is full.  A pair without candidates is skipped; otherwise one backward
-worklist over the edges of the other roles tells which candidates are met.
-It starts from the full nodes where the peer's receive makes room, the only
-step from a full queue to one with room.  Each pass is iterative and linear
-in the graph.  Both checks read the graph's columns (`BoundedGraph`)
-directly: flat configurations, and the source, step id and target of each
+queue is full.  One scan of the packed configurations finds them, and among
+them the seeds, where the peer can pop the queue's head: only that receive
+makes room, so the seeds are met in one step.  Backwards from the seeds, one
+worklist over the edges of the other roles meets the rest; such an edge
+keeps the sender's state and the full queue, so it only ever meets
+candidates, and the walk stops once none is left unmet.  A pair without
+candidates costs the scan alone.  Each pass is iterative and linear in the
+graph.  Both checks read the graph's columns (`BoundedGraph`) directly: the
+bit fields of each configuration, and the source, step id and target of each
 edge.
 """
 from __future__ import annotations
@@ -122,12 +125,6 @@ def extract_trace(graph: BoundedGraph, node: int) -> tuple[Step, ...]:
     return tuple(trace)
 
 
-def _movers(graph: BoundedGraph) -> list[int]:
-    """The index of the role that moves, per step id."""
-    role_index = graph.system.role_index
-    return [role_index[step.role] for step in graph.steps]
-
-
 def check_exhaustive(
     system: System, graph: BoundedGraph,
 ) -> tuple[tuple[int, str, Action], ...]:
@@ -140,64 +137,61 @@ def check_exhaustive(
     system whose steps label the edges.
     """
     system = graph.system
-    configs, k, steps, src, step_id = graph.configs, graph.k, graph.steps, graph.src, graph.step_id
-    n = len(configs)
-    first = len(system.roles)
-    receives: dict[int, list[int]] = {}  # slot -> ids of the steps that pop it
-    for by_state in graph.rows:
-        for rows in by_state.values():
-            for slot, _, is_send, _, sid in rows:
-                if not is_send:
-                    receives.setdefault(slot, []).append(sid)
+    configs, k, steps = graph.configs, graph.k, graph.steps
+    sends: dict[int, dict[int, list[Action]]] = {}  # live channel -> state code -> sends
+    pops: dict[int, set[int]] = {}  # live channel -> receiver state code << b | head code
+    for sid, (_, code, j, message, is_send) in enumerate(graph.effects):
+        if is_send:
+            sends.setdefault(j, {}).setdefault(code, []).append(steps[sid].action)
+        else:
+            pops.setdefault(j, set()).add(code << graph.queue_fields[j][1] | message)
     rev = None
     obligations: list[tuple[int, str, Action]] = []
     for ri, role in enumerate(system.roles):
-        sends: dict[int, dict[int, list[Action]]] = {}  # slot -> state -> sends
-        for state, rows in graph.rows[ri].items():
-            for slot, _, is_send, _, sid in rows:
-                if is_send:
-                    sends.setdefault(slot, {}).setdefault(state, []).append(steps[sid].action)
-        for slot in sorted(sends, key=lambda slot: system.channels[graph.live[slot - first]][1]):
-            by_state = sends[slot]  # sends to one peer, by sender state
+        shift, mask = graph.role_fields[ri]
+        own = sorted((system.channels[ci][1], j) for j, ci in enumerate(graph.live)
+                     if system.channels[ci][0] == role and j in sends)
+        for peer, j in own:  # sends to one peer, by sender state code
+            by_code = sends[j]
+            field_shift, b = graph.queue_fields[j]
+            peer_shift, peer_mask = graph.role_fields[system.role_index[peer]]
+            head, can_pop = (1 << b) - 1, pops.get(j, ())
             # Only a node whose queue to the peer is full can leave a send
             # starved; a node with room meets its obligation on the spot.
-            room = bytearray(n)
-            candidates = []
-            for i, cfg in enumerate(configs):
-                if len(cfg[slot]) < k:
-                    room[i] = 1
-                elif cfg[ri] in by_state:
+            # The full candidates where the peer can pop the head are met in
+            # one step, since only that receive makes room.
+            full_bit = 1 << (field_shift + k * b)  # the sentinel of a full queue
+            candidates, work = [], []  # work starts with the seeds
+            for i in compress(range(len(configs)), map(full_bit.__and__, configs)):
+                cfg = configs[i]
+                if (cfg >> shift & mask) in by_code:
                     candidates.append(i)
-            if not candidates:
+                    if ((cfg >> peer_shift & peer_mask) << b | cfg >> field_shift & head) in can_pop:
+                        work.append(i)
+            unmet = len(candidates) - len(work)
+            if not unmet:
                 continue
+            # Backwards from the seeds over the other roles' edges, until
+            # every candidate is met.  Such an edge keeps the sender's state
+            # and leaves the queue full, so every node met is a candidate.
             if rev is None:
                 rev = _reverse_adjacency(graph)
             offsets, sources, movers = rev
-            # Only the peer's receive leads from a full queue to one with
-            # room, so the full nodes it leaves from are met in one step.
-            # Backwards from them over the other roles' edges, until every
-            # candidate is met.
-            pops = bytearray(len(steps))
-            for sid in receives.get(slot, ()):
-                pops[sid] = 1
-            work = []
-            for u in compress(src, map(pops.__getitem__, step_id)):
-                if not room[u]:
-                    room[u] = 1
-                    work.append(u)
-            pending = set(candidates).difference(work)
+            met = bytearray(len(configs))
             for v in work:
-                if not pending:
-                    break
+                met[v] = 1
+            for v in work:
                 for e in range(offsets[v], offsets[v + 1]):
                     u = sources[e]
-                    if not room[u] and movers[e] != ri:
-                        room[u] = 1
+                    if not met[u] and movers[e] != ri:
+                        met[u] = 1
                         work.append(u)
-                        pending.discard(u)
+                        unmet -= 1
+                if not unmet:
+                    break
             for i in candidates:
-                if i in pending:
-                    obligations.extend((i, role, a) for a in by_state[configs[i][ri]])
+                if not met[i]:
+                    obligations.extend((i, role, a) for a in by_code[configs[i] >> shift & mask])
     return tuple(obligations)
 
 
@@ -213,7 +207,7 @@ def _reverse_adjacency(graph: BoundedGraph):
     fill = offsets[:-1]
     sources = array("i", [0]) * len(dst)
     movers = array("i", sources)
-    mover = _movers(graph)
+    mover = [effect[0] for effect in graph.effects]
     for u, sid, v in zip(graph.src, graph.step_id, dst):
         e = fill[v]
         fill[v] = e + 1
@@ -232,18 +226,15 @@ def check_safety(system: System, graph: BoundedGraph) -> tuple[Violation, ...]:
     system whose steps label the edges.
     """
     system = graph.system
-    roles, configs, live = system.roles, graph.configs, graph.live
+    roles, configs = system.roles, graph.configs
     n = len(configs)
     first = len(roles)
-    # Event bits: bit r is "role r moves", and the bit of a live channel's
-    # slot is "its head is consumed".  Every other channel stays empty, so it
-    # can neither hold nor lose a message, and has neither slot nor bit.
-    full = (1 << (first + len(live))) - 1
-    events = [0] * len(graph.steps)
-    for ri, by_state in enumerate(graph.rows):
-        for rows in by_state.values():
-            for slot, _, is_send, _, sid in rows:
-                events[sid] = 1 << ri | (0 if is_send else 1 << slot)
+    # Event bits: bit r is "role r moves", and bit `first + j` is "the head
+    # of live channel j is consumed".  Every other channel stays empty, so it
+    # can neither hold nor lose a message, and has neither field nor bit.
+    full = (1 << (first + len(graph.live))) - 1
+    events = [1 << ri | (0 if is_send else 1 << (first + j))
+              for ri, _, j, _, is_send in graph.effects]
 
     # Forward adjacency; edges are listed source by source in node order.
     mask = [0] * n
@@ -258,10 +249,10 @@ def check_safety(system: System, graph: BoundedGraph) -> tuple[Violation, ...]:
     receiving = [{state for state, rows in by_state.items() if not rows[0][4]}
                  for by_state in system.step_table]
     channels = []
-    for slot, ci in enumerate(live, first):
+    for j, ci in enumerate(graph.live):
         sender, receiver = system.channels[ci]
-        channels.append((slot, sender, receiver, system.role_index[receiver]))
-    messages, depth = graph.messages, graph.depth
+        channels.append((first + j, j, sender, receiver, system.role_index[receiver]))
+    depth = graph.depth
     best: dict[tuple, tuple[int, int, object]] = {}
     for i, bits in enumerate(reach):
         if bits == full:
@@ -269,17 +260,21 @@ def check_safety(system: System, graph: BoundedGraph) -> tuple[Violation, ...]:
         cfg = configs[i]
         d = depth[i]
         for ri, role in enumerate(roles):
-            state = cfg[ri]
-            if not bits >> ri & 1 and state in receiving[ri]:
-                key = ("progress", role, state)
-                if key not in best or d < best[key][0]:
-                    best[key] = (d, i, ProgressViolation(role, state))
-        for slot, sender, receiver, qi in channels:
-            if not bits >> slot & 1 and cfg[slot]:
-                key = ("reception", sender, receiver, cfg[qi])
-                if key not in best or d < best[key][0]:
-                    label, sort = messages[cfg[slot][0]]
-                    best[key] = (d, i, EventualReceptionViolation(sender, receiver, label, sort))
+            if not bits >> ri & 1:
+                state = graph.state(cfg, ri)
+                if state in receiving[ri]:
+                    key = ("progress", role, state)
+                    if key not in best or d < best[key][0]:
+                        best[key] = (d, i, ProgressViolation(role, state))
+        for bit, j, sender, receiver, qi in channels:
+            if not bits >> bit & 1:
+                queue = graph.queue(cfg, j)
+                if queue:
+                    key = ("reception", sender, receiver, graph.state(cfg, qi))
+                    if key not in best or d < best[key][0]:
+                        label, sort = queue[0]
+                        best[key] = (d, i, EventualReceptionViolation(
+                            sender, receiver, label, sort))
 
     violations = [
         Violation(kind, node, extract_trace(graph, node))
@@ -357,12 +352,12 @@ def local_fingerprint(graph: BoundedGraph, role: str) -> frozenset:
     bound saturated the role's behaviour.
     """
     ri = graph.system.role_index[role]
-    configs, steps = graph.configs, graph.steps
-    fired: dict[int, set[Action]] = {s: set() for s in {cfg[ri] for cfg in configs}}
-    mover = _movers(graph)
-    for u, sid in zip(graph.src, graph.step_id):
-        if mover[sid] == ri:
-            fired[configs[u][ri]].add(steps[sid].action)
+    fired: dict[int, set[Action]] = {
+        s: set() for s in {graph.state(cfg, ri) for cfg in graph.configs}}
+    for sid in set(graph.step_id):  # each edge's source is in its step's source state
+        mover, code = graph.effects[sid][:2]
+        if mover == ri:
+            fired[graph.states[ri][code]].add(graph.steps[sid].action)
     return frozenset((s, frozenset(actions)) for s, actions in fired.items())
 
 
@@ -386,30 +381,28 @@ def check_kmc_detailed(
     require_valid_system(system)
     started = time.perf_counter()
     bounds: list[int] = []
-    last = None
     hints: list[tuple[int, Violation]] = []
     hinted: set = set()
     for k in range(1, max_bound + 1):
         graph = build_bounded_graph(system, k, max_configs)
         bounds.append(k)
         obligations = check_exhaustive(system, graph)
-        if obligations:
-            if collect_bounded:
-                for v in check_safety(system, graph):
-                    if v.kind not in hinted:
-                        hinted.add(v.kind)
-                        hints.append((k, v))
-            last = (graph, obligations)
-            continue
-        violations = check_safety(system, graph)
-        stats = CheckStats(
-            len(graph.nodes), len(graph.edges), tuple(bounds), _ms(started))
-        if violations:
-            return CheckOutcome(Unsafe(k, violations), stats)
-        return CheckOutcome(Safe(k, stats), stats)
+        if not obligations:
+            violations = check_safety(system, graph)
+            stats = CheckStats(
+                len(graph.nodes), len(graph.edges), tuple(bounds), _ms(started))
+            if violations:
+                return CheckOutcome(Unsafe(k, violations), stats)
+            return CheckOutcome(Safe(k, stats), stats)
+        if collect_bounded:
+            for v in check_safety(system, graph):
+                if v.kind not in hinted:
+                    hinted.add(v.kind)
+                    hints.append((k, v))
+        size = (len(graph.nodes), len(graph.edges))
+        del graph  # the next bound's graph is built without this one held
 
-    graph, obligations = last
-    stats = CheckStats(len(graph.nodes), len(graph.edges), tuple(bounds), _ms(started))
+    stats = CheckStats(*size, tuple(bounds), _ms(started))
     node, role, action = obligations[0]
     note = (
         f"no bound up to {max_bound} accounts for every send: at k={max_bound}, "

@@ -10,12 +10,15 @@ it over full-width `Configuration`s: `apply_step`, `simulator.replay` and
 `simulator.simulate` all take their steps from it.
 
 `build_bounded_graph` explores every interleaving under such a bound `k`
-breadth-first in a flat layout derived from the same table: a configuration
-is one tuple, the role states followed by one tuple of message ids per live
-channel (one some machine sends on; every other channel stays empty and has
-no slot), and the edges are three `array('i')` columns (source, step id,
-target).  It takes exactly the steps `enabled_steps` offers, in the same
-order; `BoundedGraph.nodes`, `.edges` and `.parent` show the graph in the
+breadth-first in a packed layout derived from the same table: a
+configuration is one int of bit fields, one per role (the index of its state
+among the machine's sorted states) and one per live channel (one some
+machine sends on; every other channel stays empty and has no field), and the
+edges are three `array('i')` columns (source, step id, target).  A queue
+field holds its messages' codes under a sentinel bit, the head lowest, so a
+step adds a precomputed delta to the int and allocates no container.  The
+explorer takes exactly the steps `enabled_steps` offers, in the same order;
+`BoundedGraph.nodes`, `.edges` and `.parent` show the graph in the
 full-width layout.
 """
 from __future__ import annotations
@@ -134,16 +137,24 @@ class _View(Sequence):
 
 @dataclass
 class BoundedGraph:
-    """Deduplicated reachability graph under a queue bound `k`, in a compact
+    """Deduplicated reachability graph under a queue bound `k`, in a packed
     layout the checks read directly.
 
-    `configs[i]` is node `i` as one flat tuple: the role states in role
-    order, then one tuple of message ids per live channel, the channel index
-    of slot `len(system.roles) + j` being `live[j]`.  `messages` maps a
-    message id to its (label, sort) and `steps` a step id to its `Step`.
-    `rows[ri][state]` lists what role `ri` can do in `state`, in declaration
-    order, as (slot, message id, is_send, target state, step id) rows.  Edge
-    `e` runs from `src[e]` to `dst[e]` by step `step_id[e]`.
+    `configs[i]` is node `i` as one int of bit fields.  Role `ri` has the
+    field `cfg >> shift & mask`, `(shift, mask) = role_fields[ri]`, holding
+    its *state code*: the index of its state in `states[ri]` (the machine's
+    states, sorted), so any int state id packs.  Live channel `j` (one some
+    machine sends on; its channel index is `live[j]`) has the `k * b + 1`
+    bits from bit `shift` up, `(shift, b) = queue_fields[j]`: a sentinel 1
+    on top of the queued message codes, `b` bits each, the head lowest.  So
+    the empty queue is 1 and a full one has bit `k * b` set.  `messages[j]`
+    gives the (label, sort) of each of the channel's codes.  Every other
+    channel stays empty and has no field.  `state` and `queue` decode one
+    field.
+
+    `steps` maps a step id to its `Step` and `effects` to what it does, as
+    (role index, source state code, live channel, message code, is_send).
+    Edge `e` runs from `src[e]` to `dst[e]` by step `step_id[e]`.
 
     Nodes are numbered 0.. in breadth-first discovery order (0 is the initial
     configuration), which makes numbering and edge order deterministic; edges
@@ -158,11 +169,14 @@ class BoundedGraph:
 
     system: System
     k: int
-    configs: list[tuple]
+    configs: list[int]
+    states: tuple[tuple[int, ...], ...]
+    role_fields: tuple[tuple[int, int], ...]
     live: tuple[int, ...]
-    messages: tuple[Message, ...]
+    queue_fields: tuple[tuple[int, int], ...]
+    messages: tuple[tuple[Message, ...], ...]
     steps: tuple[Step, ...]
-    rows: tuple[dict[int, tuple[tuple[int, int, bool, int, int], ...]], ...]
+    effects: tuple[tuple[int, int, int, int, bool], ...]
     src: array
     step_id: array
     dst: array
@@ -181,13 +195,29 @@ class BoundedGraph:
     def parent(self) -> Sequence[tuple[int, Step] | None]:
         return _View(len(self.configs), self._parent)
 
+    def state(self, cfg: int, ri: int) -> int:
+        """The state of role `ri` in packed configuration `cfg`."""
+        shift, mask = self.role_fields[ri]
+        return self.states[ri][cfg >> shift & mask]
+
+    def queue(self, cfg: int, j: int) -> tuple[Message, ...]:
+        """The messages on live channel `j` in packed configuration `cfg`,
+        head first."""
+        (shift, b), by_code = self.queue_fields[j], self.messages[j]
+        q, head = cfg >> shift & ((2 << self.k * b) - 1), (1 << b) - 1
+        queue = []
+        while q > 1:  # above the head and every queued code sits the sentinel 1
+            queue.append(by_code[q & head])
+            q >>= b
+        return tuple(queue)
+
     def _configuration(self, i: int) -> Configuration:
         cfg = self.configs[i]
-        first = len(self.system.roles)
         queues = [()] * len(self.system.channels)
-        for slot, ci in enumerate(self.live, first):
-            queues[ci] = tuple(self.messages[m] for m in cfg[slot])
-        return Configuration(cfg[:first], tuple(queues))
+        for j, ci in enumerate(self.live):
+            queues[ci] = self.queue(cfg, j)
+        return Configuration(tuple(self.state(cfg, ri) for ri in range(len(self.states))),
+                             tuple(queues))
 
     def _edge(self, e: int) -> tuple[int, Step, int]:
         return (self.src[e], self.steps[self.step_id[e]], self.dst[e])
@@ -197,31 +227,81 @@ class BoundedGraph:
         return None if e < 0 else (self.src[e], self.steps[self.step_id[e]])
 
 
-def _compact_rows(system: System):
-    """(live, messages, steps, rows) of `BoundedGraph`, derived from
-    `system.step_table`.  A live channel is one some machine sends on; every
-    other channel stays empty, so a receive on it never fires and gets no
-    row."""
+def _pack(system: System, k: int):
+    """The packed layout under bound `k` (the `BoundedGraph` fields from
+    `states` to `effects`, in order) and the successor groups
+    `build_bounded_graph` fires, both derived from `system.step_table`.
+
+    The groups of role `ri` in the state of code `c` are `groups[ri][c]`:
+    each maximal run of the state's transitions on one live channel is one
+    (is_send, shift, field mask, limit, b, rows) group; shift and field mask
+    locate the channel's field.  A send group fires its rows, (role delta,
+    push, step id), in declaration order while the field is below `limit`,
+    its full value; pushing on top of the sentinel at bit `n` adds
+    `push << n`, which writes the code and moves the sentinel `b` bits up.
+    A receive group's rows map a head code (the field's bits under `limit`)
+    to the one row that pops it, (role delta, 0, step id); a valid state
+    receives each message from a peer at most once, so one lookup keeps
+    declaration order.  A receive on a channel nobody sends on never fires
+    and gets no row.
+    """
     table = system.step_table
     live = tuple(sorted({ci for by_state in table for rows in by_state.values()
                          for _, _, ci, _, is_send in rows if is_send}))
-    slot_of = {ci: slot for slot, ci in enumerate(live, len(system.roles))}
-    message_ids: dict[Message, int] = {}
-    steps: list[Step] = []
-    compact = []
+    live_of = {ci: j for j, ci in enumerate(live)}
+    codes: list[dict[Message, int]] = [{} for _ in live]
     for by_state in table:
-        by_slot = {}
+        for rows in by_state.values():
+            for _, _, ci, message, _ in rows:
+                if ci in live_of:
+                    codes[live_of[ci]].setdefault(message, len(codes[live_of[ci]]))
+    states = tuple(tuple(sorted(system.machines[r].states)) for r in system.roles)
+    role_fields, queue_fields, shift = [], [], 0
+    for by_code in states:
+        width = (len(by_code) - 1).bit_length()
+        role_fields.append((shift, (1 << width) - 1))
+        shift += width
+    for by_message in codes:
+        b = max(1, (len(by_message) - 1).bit_length())
+        queue_fields.append((shift, b))
+        shift += k * b + 1
+
+    # per live channel: the first five group items of a receive and of a
+    # send run, and what a push adds to a code to move the sentinel up
+    heads = [((False, shift, (2 << k * b) - 1, (1 << b) - 1, b),
+              (True, shift, (2 << k * b) - 1, 1 << k * b, b)) for shift, b in queue_fields]
+    bumps = [(1 << b) - 1 for _, b in queue_fields]
+    steps: list[Step] = []
+    effects = []
+    groups = []
+    for ri, by_state in enumerate(table):
+        role_shift = role_fields[ri][0]
+        code_of = dict(zip(states[ri], range(len(states[ri]))))
+        by_code: list = [()] * len(states[ri])
         for state, rows in by_state.items():
-            out = []
+            src = code_of[state]
+            here, last = [], None
             for step, dst, ci, message, is_send in rows:
-                if ci in slot_of:
-                    msg = message_ids.setdefault(message, len(message_ids))
-                    out.append((slot_of[ci], msg, is_send, dst, len(steps)))
-                    steps.append(step)
-            if out:
-                by_slot[state] = tuple(out)
-        compact.append(by_slot)
-    return live, tuple(message_ids), tuple(steps), tuple(compact)
+                j = live_of.get(ci)
+                if j is None:
+                    continue
+                code = codes[j][message]
+                sid = len(steps)
+                steps.append(step)
+                effects.append((ri, src, j, code, is_send))
+                delta = (code_of[dst] - src) << role_shift
+                if j != last:  # a new run
+                    last, run = j, [] if is_send else {}
+                    here.append(heads[j][is_send] + (run,))
+                if is_send:
+                    run.append((delta, code + bumps[j], sid))
+                else:
+                    run[code] = ((delta, 0, sid),)
+            by_code[src] = here
+        groups.append(by_code)
+    layout = (states, tuple(role_fields), live, tuple(queue_fields),
+              tuple(tuple(by_message) for by_message in codes), tuple(steps), tuple(effects))
+    return layout, tuple(groups)
 
 
 def build_bounded_graph(
@@ -237,43 +317,47 @@ def build_bounded_graph(
     """
     if k < 1:
         raise ValueError("bound must be at least 1")
-    live, messages, steps, rows = _compact_rows(system)
-    init = tuple(system.machines[r].initial for r in system.roles) + ((),) * len(live)
+    layout, groups = _pack(system, k)
+    states, role_fields, _, queue_fields = layout[:4]
+    init = sum(by_code.index(system.machines[r].initial) << shift
+               for r, by_code, (shift, _) in zip(system.roles, states, role_fields))
+    init += sum(1 << shift for shift, _ in queue_fields)
     configs = [init]
     seen = {init: 0}
     src, step_id, dst = array("i"), array("i"), array("i")
     parent_edge = array("i", [-1])
     depth = [0]
-    by_role = tuple(enumerate(rows))
+    roles = tuple((shift, mask, by_code)
+                  for (shift, mask), by_code in zip(role_fields, groups) if any(by_code))
     claim, add_src, add_step, add_dst = seen.setdefault, src.append, step_id.append, dst.append
     n = 1
     for u, cfg in enumerate(configs):  # nodes are expanded in discovery order
         d = depth[u] + 1
-        for ri, by_state in by_role:
-            for slot, msg, is_send, target, sid in by_state.get(cfg[ri], ()):
-                queue = cfg[slot]
+        for shift, mask, by_code in roles:
+            for is_send, field_shift, field_mask, limit, b, rows in by_code[cfg >> shift & mask]:
+                q = cfg >> field_shift & field_mask
                 if is_send:
-                    if len(queue) >= k:
+                    if q >= limit:  # full
                         continue
-                    queue += (msg,)
-                elif queue and queue[0] == msg:
-                    queue = queue[1:]
+                    base, at = cfg, field_shift + q.bit_length() - 1
                 else:
-                    continue
-                nxt = list(cfg)
-                nxt[ri] = target
-                nxt[slot] = queue
-                nxt = tuple(nxt)
-                v = claim(nxt, n)
-                if v == n:
-                    if n >= max_configs:
-                        raise ResourceExhausted(n, k, max_configs)
-                    n += 1
-                    configs.append(nxt)
-                    parent_edge.append(len(src))
-                    depth.append(d)
-                add_src(u)
-                add_step(sid)
-                add_dst(v)
-    return BoundedGraph(system, k, configs, live, messages, steps, rows,
-                        src, step_id, dst, parent_edge, depth)
+                    if q <= limit:  # empty
+                        continue
+                    rows = rows.get(q & limit)
+                    if rows is None:
+                        continue
+                    base, at = cfg - ((q - (q >> b)) << field_shift), 0
+                for delta, push, sid in rows:
+                    nxt = base + delta + (push << at)
+                    v = claim(nxt, n)
+                    if v == n:
+                        if n >= max_configs:
+                            raise ResourceExhausted(n, k, max_configs)
+                        n += 1
+                        configs.append(nxt)
+                        parent_edge.append(len(src))
+                        depth.append(d)
+                    add_src(u)
+                    add_step(sid)
+                    add_dst(v)
+    return BoundedGraph(system, k, configs, *layout, src, step_id, dst, parent_edge, depth)

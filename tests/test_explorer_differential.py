@@ -1,6 +1,7 @@
-"""The compact explorer against the full-width reference in oracle.py: every
+"""The packed explorer against the full-width reference in oracle.py: every
 graph must have the same nodes, edges, parents and depths, numbering and edge
-order included."""
+order included.  Systems with negative, sparse or huge state ids, and queues
+whose fields outgrow a machine word, pin the packed layout."""
 from __future__ import annotations
 
 import random
@@ -9,12 +10,15 @@ import time
 
 import pytest
 
+from kmcheck.checker import Safe, Unsafe, check_kmc_detailed
 from kmcheck.dsl import parse_system
-from kmcheck.semantics import build_bounded_graph
+from kmcheck.model import Machine, System, receive, send
+from kmcheck.semantics import ResourceExhausted, build_bounded_graph
 
 import oracle
 from conftest import FIXTURES, HERE, fixture_system
 from generators import random_system
+from test_checks_per_bound import _compare_bound
 
 sys.path.insert(0, str(HERE.parent / "perfbench"))
 import workloads  # noqa: E402
@@ -59,3 +63,77 @@ def test_random_graphs_match_reference():
         for k in (1, 2, 3):
             _agrees(system, k)
     assert time.process_time() - started < 5.0
+
+
+def _verdict(system):
+    """The verdict with its timing left out, or where the cap stopped it."""
+    try:
+        outcome = check_kmc_detailed(system, max_bound=3, max_configs=20_000)
+    except ResourceExhausted as exc:
+        return ("cap", exc.k), exc.configs_seen, None
+    stats = outcome.stats
+    return (outcome.verdict if not isinstance(outcome.verdict, Safe)
+            else ("safe", outcome.verdict.k), stats.configurations, stats.edges)
+
+
+def test_sparse_and_huge_state_ids_pack():
+    # A configuration packs each role's index among its sorted states, not
+    # the state id itself, so negative and huge ids cost no extra bits.
+    a = Machine(frozenset({-3, 2**40}), -3,
+                ((-3, send("b", "x"), 2**40), (2**40, send("b", "y"), -3)))
+    b = Machine(frozenset({7}), 7, ((7, receive("a", "x"), 7), (7, receive("a", "y"), 7)))
+    system = System(("a", "b"), {"a": a, "b": b})
+    for k in (1, 2, 3):
+        _agrees(system, k)
+    assert _verdict(system) == (("safe", 1), 4, 4)
+
+
+def _renumbered(system, rng: random.Random):
+    """`system` with every machine's states renamed to distinct negative,
+    sparse or huge ids in an order unrelated to the old one."""
+    machines = {}
+    for role, m in system.machines.items():
+        ids: set[int] = set()
+        while len(ids) < len(m.states):
+            ids.add(rng.choice((-1, 1)) * rng.getrandbits(rng.choice((3, 20, 70))))
+        new = dict(zip(sorted(m.states), rng.sample(sorted(ids), len(ids))))
+        machines[role] = Machine(frozenset(new.values()), new[m.initial],
+                                 tuple((new[s], a, new[d]) for s, a, d in m.transitions))
+    return System(system.roles, machines)
+
+
+def test_renumbered_random_states_pack():
+    rng = random.Random(4242)
+    for _ in range(150):
+        system = random_system(rng, max_roles=4, max_states=6)
+        renumbered = _renumbered(system, rng)
+        for k in (1, 2, 3):
+            _agrees(renumbered, k)
+        before, after = _verdict(system), _verdict(renumbered)
+        if isinstance(before[0], Unsafe):  # violations name states: compare them renamed
+            assert [v.witness for v in before[0].violations] \
+                == [v.witness for v in after[0].violations]
+            before, after = before[1:], after[1:]
+        assert before == after
+
+
+def test_fields_wider_than_one_digit():
+    # 120 labels take 7 bits each, so at k=10 the queue field alone spans
+    # 71 bits: the packed configuration needs several 30-bit digits.
+    system = parse_system(workloads.make_case(
+        "seq", workloads.looping_sequence, (120,), 10, seed=5).text)
+    for k in range(1, 11):
+        _agrees(system, k)
+        assert _compare_bound(system, k) is not None  # both checks met the oracle
+
+
+def test_channel_carrying_a_hundred_labels():
+    # p sends one of 100 labels twice, so at k=2 a queue holds two 7-bit
+    # codes; q's reply is a second, one-label channel.
+    labels = [f"l{i}" for i in range(100)]
+    p = " or ".join(f"{{q!{x}; q!{x}; q?ack; t}}" for x in labels)
+    q = " or ".join(f"{{p?{x}; p?{x}; p!ack; t}}" for x in labels)
+    system = parse_system(f"role p: rec t. {p}\nrole q: rec t. {q}\n")
+    for k in (1, 2):
+        _agrees(system, k)
+        assert _compare_bound(system, k) is not None  # both checks met the oracle
