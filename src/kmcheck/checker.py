@@ -19,10 +19,14 @@ can still happen" (CTL `AG EF`), so one pass settles all of them.  Each edge
 carries an event bitmask: one bit per role ("the role moves") and one per
 live channel ("the channel's head is consumed").  A channel is live when some
 machine has a send on it; every other channel is always empty and gets no
-bit.  One iterative Tarjan condensation of the forward graph then gives each
-strongly connected component the OR of its members' bits and of the
-components it leads to, which Tarjan completes first.  Only configurations
-whose mask lacks some bit can witness a violation.
+bit.  Each node starts with the OR of its outgoing edges' bits, and one
+backward worklist, seeded with every node, ORs a node's bits into the source
+of each edge into it and queues that source again when its bits grew.  At
+the fixpoint each node holds the OR over everything it can reach.  A node is
+queued again only when it gains a bit, so it is popped at most once per
+event bit plus once, and each edge is read as often: O((roles + live
+channels) * edges) at worst, one or two pops per node on large safe graphs.
+Only configurations whose mask lacks some bit can witness a violation.
 
 Send coverage checks each (role, peer) pair on its own, but only where it can
 fail: at candidate nodes, where the role has a send to the peer and that
@@ -32,17 +36,16 @@ makes room, so the seeds are met in one step.  Backwards from the seeds, one
 worklist over the edges of the other roles meets the rest; such an edge
 keeps the sender's state and the full queue, so it only ever meets
 candidates, and the walk stops once none is left unmet.  A pair without
-candidates costs the scan alone.  Each pass is iterative and linear in the
-graph.  Both checks read the graph's columns (`BoundedGraph`) directly: the
-bit fields of each configuration, and the source, step id and target of each
-edge.
+candidates costs the scan alone.  Both checks are iterative and read the
+graph's columns (`BoundedGraph`) directly: the bit fields of each
+configuration, the edges grouped by source, and the same edges grouped by
+target, which the graph builds once for both backward walks.
 """
 from __future__ import annotations
 
 import time
-from array import array
 from dataclasses import dataclass
-from itertools import accumulate, compress
+from itertools import compress
 
 from .model import Action, System, require_valid_system
 from .semantics import BoundedGraph, Step, build_bounded_graph
@@ -145,7 +148,7 @@ def check_exhaustive(
             sends.setdefault(j, {}).setdefault(code, []).append(steps[sid].action)
         else:
             pops.setdefault(j, set()).add(code << graph.queue_fields[j][1] | message)
-    rev = None
+    offsets, sources, movers = graph.in_offsets, graph.in_src, graph.in_mover
     obligations: list[tuple[int, str, Action]] = []
     for ri, role in enumerate(system.roles):
         shift, mask = graph.role_fields[ri]
@@ -174,9 +177,6 @@ def check_exhaustive(
             # Backwards from the seeds over the other roles' edges, until
             # every candidate is met.  Such an edge keeps the sender's state
             # and leaves the queue full, so every node met is a candidate.
-            if rev is None:
-                rev = _reverse_adjacency(graph)
-            offsets, sources, movers = rev
             met = bytearray(len(configs))
             for v in work:
                 met[v] = 1
@@ -193,27 +193,6 @@ def check_exhaustive(
                 if not met[i]:
                     obligations.extend((i, role, a) for a in by_code[configs[i] >> shift & mask])
     return tuple(obligations)
-
-
-def _reverse_adjacency(graph: BoundedGraph):
-    """Incoming edges of every node as flat columns: the edges into `v` are
-    `offsets[v]:offsets[v + 1]`, with their source nodes in `sources` and the
-    index of the role that moves in `movers`."""
-    n, dst = len(graph.configs), graph.dst
-    offsets = [0] * (n + 1)
-    for v in dst:
-        offsets[v + 1] += 1
-    offsets = list(accumulate(offsets))
-    fill = offsets[:-1]
-    sources = array("i", [0]) * len(dst)
-    movers = array("i", sources)
-    mover = [effect[0] for effect in graph.effects]
-    for u, sid, v in zip(graph.src, graph.step_id, dst):
-        e = fill[v]
-        fill[v] = e + 1
-        sources[e] = u
-        movers[e] = mover[sid]
-    return offsets, sources, movers
 
 
 def check_safety(system: System, graph: BoundedGraph) -> tuple[Violation, ...]:
@@ -236,14 +215,26 @@ def check_safety(system: System, graph: BoundedGraph) -> tuple[Violation, ...]:
     events = [1 << ri | (0 if is_send else 1 << (first + j))
               for ri, _, j, _, is_send in graph.effects]
 
-    # Forward adjacency; edges are listed source by source in node order.
-    mask = [0] * n
-    offsets = [0] * (n + 1)
+    reach = [0] * n
     for u, sid in zip(graph.src, graph.step_id):
-        mask[u] |= events[sid]
-        offsets[u + 1] += 1
-    offsets = list(accumulate(offsets))
-    reach = _reachable_events(offsets, graph.dst, mask)
+        reach[u] |= events[sid]
+    # Backwards to the fixpoint: each node ends with the OR over all it
+    # reaches.  A node is on the worklist at most once.
+    offsets, sources = graph.in_offsets, graph.in_src
+    work = list(range(n))
+    queued = bytearray(b"\1") * n
+    pop, push = work.pop, work.append
+    while work:
+        v = pop()
+        queued[v] = 0
+        bits = reach[v]
+        for u in sources[offsets[v]:offsets[v + 1]]:
+            old = reach[u]
+            if bits | old != old:
+                reach[u] = bits | old
+                if not queued[u]:
+                    queued[u] = 1
+                    push(u)
 
     # a state is a receive state when its first transition is a receive
     receiving = [{state for state, rows in by_state.items() if not rows[0][4]}
@@ -283,65 +274,6 @@ def check_safety(system: System, graph: BoundedGraph) -> tuple[Violation, ...]:
         len(v.trace), v.witness, v.kind.__class__.__name__,
         tuple(str(x) for x in vars(v.kind).values())))
     return tuple(violations)
-
-
-def _reachable_events(offsets: list[int], targets: array, mask: list[int]) -> list[int]:
-    """For every node, the OR of `mask` over all nodes reachable from it.
-
-    One iterative Tarjan pass: each strongly connected component completes
-    after every component it leads to, so its members' own bits plus the
-    final bits of those components give the component's answer at once.
-    `mask` is used as the per-node accumulator and overwritten.
-    """
-    n = len(mask)
-    order = [-1] * n
-    low = [0] * n
-    reach = [-1] * n  # final bits once the node's component has completed
-    cursor = offsets[:n]
-    scc: list[int] = []
-    counter = 0
-    for root in range(n):
-        if order[root] >= 0:
-            continue
-        order[root] = low[root] = counter
-        counter += 1
-        scc.append(root)
-        path = [root]
-        while path:
-            v = path[-1]
-            e, end = cursor[v], offsets[v + 1]
-            while e < end:
-                w = targets[e]
-                e += 1
-                if order[w] < 0:
-                    cursor[v] = e
-                    order[w] = low[w] = counter
-                    counter += 1
-                    scc.append(w)
-                    path.append(w)
-                    break
-                if reach[w] >= 0:
-                    mask[v] |= reach[w]
-                elif order[w] < low[v]:
-                    low[v] = order[w]
-            else:
-                path.pop()
-                if low[v] == order[v]:
-                    bits = mask[v]
-                    while True:
-                        w = scc.pop()
-                        reach[w] = bits
-                        if w == v:
-                            break
-                if path:
-                    u = path[-1]
-                    if reach[v] >= 0:
-                        mask[u] |= reach[v]
-                    else:
-                        mask[u] |= mask[v]
-                        if low[v] < low[u]:
-                            low[u] = low[v]
-    return reach
 
 
 def local_fingerprint(graph: BoundedGraph, role: str) -> frozenset:
@@ -390,7 +322,7 @@ def check_kmc_detailed(
         if not obligations:
             violations = check_safety(system, graph)
             stats = CheckStats(
-                len(graph.nodes), len(graph.edges), tuple(bounds), _ms(started))
+                len(graph.configs), len(graph.src), tuple(bounds), _ms(started))
             if violations:
                 return CheckOutcome(Unsafe(k, violations), stats)
             return CheckOutcome(Safe(k, stats), stats)
@@ -399,7 +331,7 @@ def check_kmc_detailed(
                 if v.kind not in hinted:
                     hinted.add(v.kind)
                     hints.append((k, v))
-        size = (len(graph.nodes), len(graph.edges))
+        size = (len(graph.configs), len(graph.src))
         del graph  # the next bound's graph is built without this one held
 
     stats = CheckStats(*size, tuple(bounds), _ms(started))

@@ -14,12 +14,13 @@ breadth-first in a packed layout derived from the same table: a
 configuration is one int of bit fields, one per role (the index of its state
 among the machine's sorted states) and one per live channel (one some
 machine sends on; every other channel stays empty and has no field), and the
-edges are three `array('i')` columns (source, step id, target).  A queue
-field holds its messages' codes under a sentinel bit, the head lowest, so a
-step adds a precomputed delta to the int and allocates no container.  The
-explorer takes exactly the steps `enabled_steps` offers, in the same order;
-`BoundedGraph.nodes`, `.edges` and `.parent` show the graph in the
-full-width layout.
+edges are three `array('i')` columns (source, step id, target), grouped by
+source; the same edges grouped by target serve the checks' backward walks.
+A queue field holds its messages' codes under a sentinel bit, the head
+lowest, so a step adds a precomputed delta to the int and allocates no
+container.  The explorer takes exactly the steps `enabled_steps` offers, in
+the same order; `BoundedGraph.nodes`, `.edges` and `.parent` show the graph
+in the full-width layout.
 """
 from __future__ import annotations
 
@@ -27,6 +28,7 @@ import operator
 from array import array
 from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .model import Message, Step, System
 
@@ -162,6 +164,10 @@ class BoundedGraph:
     edge that discovered `v` (-1 for node 0), so following it back from any
     node replays one shortest derivation; `depth` is its length.
 
+    The incoming edges are kept too, grouped by target: the edges into `v`
+    are `in_offsets[v]:in_offsets[v + 1]`, and `in_src` and `in_mover` hold
+    each one's source and the index of the role that moves on it.
+
     `nodes`, `edges` and `parent` are read-only views in the full-width
     layout of `enabled_steps`: a `Configuration`, a (src, Step, dst) triple
     and a (src, Step) pair or None, each built anew on every access.
@@ -182,6 +188,9 @@ class BoundedGraph:
     dst: array
     parent_edge: array
     depth: list[int]
+    in_offsets: array
+    in_src: array
+    in_mover: array
 
     @property
     def nodes(self) -> Sequence[Configuration]:
@@ -360,4 +369,26 @@ def build_bounded_graph(
                     add_src(u)
                     add_step(sid)
                     add_dst(v)
-    return BoundedGraph(system, k, configs, *layout, src, step_id, dst, parent_edge, depth)
+    del seen, claim  # the dedupe table goes first, which lowers peak memory
+    incoming = _incoming(n, src, step_id, dst, layout[-1])
+    return BoundedGraph(system, k, configs, *layout, src, step_id, dst, parent_edge, depth,
+                        *incoming)
+
+
+def _incoming(n: int, src: array, step_id: array, dst: array, effects):
+    """The `BoundedGraph` fields `in_offsets`, `in_src` and `in_mover` of a
+    graph with `n` nodes: its edges counting-sorted by target."""
+    fill = [0] * (n + 1)
+    for v in dst:
+        fill[v + 1] += 1
+    fill = list(accumulate(fill))  # where the next edge into each node goes
+    offsets = array("i", fill)
+    sources = array("i", [0]) * len(dst)
+    movers = array("i", sources)
+    mover = [effect[0] for effect in effects]
+    for u, sid, v in zip(src, step_id, dst):
+        e = fill[v]
+        fill[v] = e + 1
+        sources[e] = u
+        movers[e] = mover[sid]
+    return offsets, sources, movers

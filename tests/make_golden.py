@@ -1,21 +1,28 @@
-"""Regenerate tests/golden/oracle.json from the brute-force reference.
+"""Regenerate the frozen files under tests/golden.
 
 Run from the repository root:
 
     python tests/make_golden.py
 
-The checker tests compare against the frozen file, never against a live
-oracle run, so expected values only change when this script is re-run on
-purpose.
+`oracle.json` holds the brute-force reference's verdicts, graph sizes and
+witness depths.  `reports.json` holds what `kmcheck check` prints for every
+fixture, with timings scrubbed, so the byte-stability of reports is tested.
+The tests compare against the frozen files, never against a live oracle run
+or an earlier checkout, so expected values only change when this script is
+re-run on purpose.
 """
 from __future__ import annotations
 
+import io
 import json
 import pathlib
+import re
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 sys.path.insert(0, str(pathlib.Path(__file__).parent))
 
+from kmcheck import cli
 from kmcheck.dsl import parse_system
 
 import oracle
@@ -23,6 +30,7 @@ import oracle
 HERE = pathlib.Path(__file__).parent
 FIXTURES = HERE / "fixtures"
 GOLDEN = HERE / "golden" / "oracle.json"
+REPORTS = HERE / "golden" / "reports.json"
 
 PIN_MAX_BOUND = 4
 
@@ -34,6 +42,34 @@ GRAPH_PINS = {
     "flood.kmc": (1, 2, 3),
     "prefetch.kmc": (2,),
 }
+
+
+# the flags of each pinned `kmcheck check` run
+REPORT_MODES = {"json": ["--json"], "plain": [], "bounded": ["--report-bounded-violations"]}
+
+
+def _scrub(text: str, path: pathlib.Path) -> str:
+    """`text` with its timings zeroed and the fixture's path cut to its name."""
+    text = re.sub(r'"elapsed_ms": \d+', '"elapsed_ms": 0', text)
+    text = re.sub(r"\b\d+ ms$", "0 ms", text, flags=re.M)
+    return text.replace(str(path), path.name)
+
+
+def check_reports() -> dict:
+    """fixture name -> mode -> the exit code, stdout and stderr of
+    `kmcheck check` on the fixture with the mode's flags, scrubbed."""
+    reports: dict = {}
+    for path in sorted(FIXTURES.glob("*.kmc")):
+        for mode, flags in REPORT_MODES.items():
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = cli.main(["check", str(path), *flags])
+            reports.setdefault(path.name, {})[mode] = {
+                "exit": code,
+                "stdout": _scrub(out.getvalue(), path),
+                "stderr": _scrub(err.getvalue(), path),
+            }
+    return reports
 
 
 def main() -> None:
@@ -67,6 +103,12 @@ def main() -> None:
     print(f"wrote {GOLDEN}")
     for name, v in golden["verdicts"].items():
         print(f"  {name}: {v['class']} k={v['k']}")
+
+    REPORTS.write_text(json.dumps({
+        "note": "frozen output of tests/make_golden.py; rerun that script to refresh",
+        "reports": check_reports(),
+    }, indent=2) + "\n")
+    print(f"wrote {REPORTS}")
 
 
 if __name__ == "__main__":

@@ -123,12 +123,14 @@ def bfs_depths(system: System, graph) -> dict[Cfg, int]:
 
 def _sweep(graph, seeds, may_follow):
     # cfg is good if it is a seed or some permitted edge leads to a good cfg;
-    # iterate whole-graph passes until nothing changes
+    # iterate whole-graph passes until nothing changes (without seeds nothing
+    # is good).  Passes run against discovery order, so goodness mostly
+    # spreads back along a path in one pass.
     good = set(seeds)
-    changed = True
+    changed = bool(good)
     while changed:
         changed = False
-        for cfg, edges in graph.items():
+        for cfg, edges in reversed(graph.items()):
             if cfg in good:
                 continue
             if any(may_follow(role) and dst in good for role, _, dst in edges):

@@ -16,6 +16,7 @@ from kmcheck.checker import (
     check_exhaustive,
     check_safety,
 )
+from kmcheck.dsl import parse_system
 from kmcheck.semantics import build_bounded_graph
 
 from generators import own_move_system, random_system
@@ -99,20 +100,59 @@ def _compare_bound(system, k) -> tuple | None:
     return obligations
 
 
-def test_checks_agree_with_oracle_at_every_bound():
-    rng = random.Random(20261017)
-    started = time.monotonic()
+def _compare_draws(rng, draws: int, **shape) -> tuple[int, int]:
+    """Compare `draws` random systems of the given shape at k = 1..3; the
+    number of bounds compared, and of those that starve some send."""
     compared = starved = 0
-    for _ in range(500):
-        system = random_system(rng, max_roles=4)
+    for _ in range(draws):
+        system = random_system(rng, **shape)
         for k in (1, 2, 3):
             obligations = _compare_bound(system, k)
             if obligations is None:
                 break
             compared += 1
             starved += bool(obligations)
+    return compared, starved
+
+
+def test_checks_agree_with_oracle_at_every_bound():
+    rng = random.Random(20261017)
+    started = time.monotonic()
+    compared, starved = _compare_draws(rng, 500, max_roles=4)
     assert compared >= 1000 and starved >= 200, (compared, starved)
     assert time.monotonic() - started < 10.0
+
+
+def test_checks_agree_with_oracle_on_larger_systems():
+    # up to 4 roles of up to 6 states each
+    rng = random.Random(20261019)
+    started = time.process_time()
+    compared, starved = _compare_draws(rng, 300, max_roles=4, max_states=6)
+    assert compared >= 850 and starved >= 200, (compared, starved)
+    assert time.process_time() - started < 5.0
+
+
+def _token_ring(n: int, last_stops: bool) -> str:
+    """`n` roles passing one token round a ring for ever; with `last_stops`
+    the last role ends after its receive, so the first waits in vain."""
+    names = [f"p{i:02}" for i in range(n)]
+    lines = [f"role {names[0]}: rec t. {names[1]}!tok<unit>; {names[-1]}?tok<unit>; t"]
+    for prev, me, nxt in zip(names, names[1:], names[2:] + names[:1]):
+        tail = "end" if last_stops and me == names[-1] else f"{nxt}!tok<unit>; t"
+        lines.append(f"role {me}: rec t. {prev}?tok<unit>; {tail}")
+    return "\n".join(lines) + "\n"
+
+
+def test_event_masks_wider_than_a_machine_word():
+    # 40 roles and 39 or 40 live channels: 79 or 80 event bits per node
+    for last_stops in (False, True):
+        system = parse_system(_token_ring(40, last_stops))
+        graph = build_bounded_graph(system, 1)
+        assert len(system.roles) + len(graph.live) == 80 - last_stops
+        assert _compare_bound(system, 1) == ()
+        # once the token stops, every other role waits for it for ever
+        stuck = [v.kind.role for v in check_safety(system, graph)]
+        assert sorted(stuck) == (sorted(system.roles)[:-1] if last_stops else [])
 
 
 def test_send_waiting_on_its_own_role_agrees_with_oracle():

@@ -13,6 +13,7 @@ from kmcheck.cli import main
 from kmcheck.simulator import parse_trace, replay
 
 from conftest import FIXTURES, fixture_system
+from make_golden import REPORTS, check_reports
 
 FIB = str(FIXTURES / "fib.kmc")
 PROGRESS_BUG = str(FIXTURES / "fib_progress_bug.kmc")
@@ -188,6 +189,11 @@ def test_json_output_is_stable_apart_from_timing(capsys):
     _, second = _json_report(capsys, RECEPTION_BUG)
     scrub = lambda s: re.sub(r'"elapsed_ms": \d+', '"elapsed_ms": 0', s)
     assert scrub(first) == scrub(second)
+
+
+def test_check_reports_match_the_frozen_ones():
+    # every fixture, as --json, plain and --report-bounded-violations
+    assert check_reports() == json.loads(REPORTS.read_text())["reports"]
 
 
 def test_config_cap_from_environment(capsys, monkeypatch):

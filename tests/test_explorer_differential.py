@@ -1,7 +1,8 @@
 """The packed explorer against the full-width reference in oracle.py: every
 graph must have the same nodes, edges, parents and depths, numbering and edge
-order included.  Systems with negative, sparse or huge state ids, and queues
-whose fields outgrow a machine word, pin the packed layout."""
+order included, and the same edges again grouped by target.  Systems with
+negative, sparse or huge state ids, and queues whose fields outgrow a machine
+word, pin the packed layout."""
 from __future__ import annotations
 
 import random
@@ -31,6 +32,14 @@ def _agrees(system, k: int) -> None:
     assert graph.edges == ref.edges
     assert graph.parent == ref.parent
     assert graph.depth == ref.depth
+    # the incoming columns: every edge once, grouped by target in edge order
+    into = [[] for _ in ref.nodes]
+    for u, step, v in ref.edges:
+        into[v].append((u, step.role))
+    offsets, roles = graph.in_offsets, system.roles
+    assert len(offsets) == len(into) + 1 and offsets[-1] == len(graph.in_src)
+    assert [[(graph.in_src[e], roles[graph.in_mover[e]]) for e in range(offsets[v], offsets[v + 1])]
+            for v in range(len(into))] == into
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
