@@ -22,7 +22,6 @@ from .checker import (
     check_kmc_detailed,
     check_safety,
     extract_trace,
-    local_fingerprint,
 )
 from .dot import machine_to_dot
 from .dsl import (

@@ -30,22 +30,22 @@ Only configurations whose mask lacks some bit can witness a violation.
 
 Send coverage checks each (role, peer) pair on its own, but only where it can
 fail: at candidate nodes, where the role has a send to the peer and that
-queue is full.  One scan of the packed configurations finds them, and among
-them the seeds, where the peer can pop the queue's head: only that receive
-makes room, so the seeds are met in one step.  Backwards from the seeds, one
-worklist over the edges of the other roles meets the rest; such an edge
-keeps the sender's state and the full queue, so it only ever meets
-candidates, and the walk stops once none is left unmet.  A pair without
-candidates costs the scan alone.  Both checks are iterative and read the
+queue is full.  The explorer lists them as it meets them, per channel.
+Among them the seeds are those where the peer can pop the queue's head: only
+that receive makes room, so the seeds are met in one step.  Backwards from
+the seeds, one worklist over the edges of the other roles meets the rest;
+such an edge keeps the sender's state and the full queue, so it only ever
+meets candidates, and the walk stops once none is left unmet.  A pair
+without candidates costs nothing.  Both checks are iterative and read the
 graph's columns (`BoundedGraph`) directly: the bit fields of each
-configuration, the edges grouped by source, and the same edges grouped by
-target, which the graph builds once for both backward walks.
+configuration, the edges grouped by source, and the chain of edges into
+each node, which the explorer links as it adds them.
 """
 from __future__ import annotations
 
 import time
+from array import array
 from dataclasses import dataclass
-from itertools import compress
 
 from .model import Action, System, require_valid_system
 from .semantics import BoundedGraph, Step, build_bounded_graph
@@ -140,7 +140,7 @@ def check_exhaustive(
     system whose steps label the edges.
     """
     system = graph.system
-    configs, k, steps = graph.configs, graph.k, graph.steps
+    configs, steps = graph.configs, graph.steps
     sends: dict[int, dict[int, list[Action]]] = {}  # live channel -> state code -> sends
     pops: dict[int, set[int]] = {}  # live channel -> receiver state code << b | head code
     for sid, (_, code, j, message, is_send) in enumerate(graph.effects):
@@ -148,29 +148,27 @@ def check_exhaustive(
             sends.setdefault(j, {}).setdefault(code, []).append(steps[sid].action)
         else:
             pops.setdefault(j, set()).add(code << graph.queue_fields[j][1] | message)
-    offsets, sources, movers = graph.in_offsets, graph.in_src, graph.in_mover
+    src, step_id, last_in, prev_in = graph.src, graph.step_id, graph.last_in, graph.prev_in
+    movers = [effect[0] for effect in graph.effects]
     obligations: list[tuple[int, str, Action]] = []
     for ri, role in enumerate(system.roles):
         shift, mask = graph.role_fields[ri]
         own = sorted((system.channels[ci][1], j) for j, ci in enumerate(graph.live)
-                     if system.channels[ci][0] == role and j in sends)
+                     if system.channels[ci][0] == role and graph.blocked[j])
         for peer, j in own:  # sends to one peer, by sender state code
             by_code = sends[j]
             field_shift, b = graph.queue_fields[j]
             peer_shift, peer_mask = graph.role_fields[system.role_index[peer]]
             head, can_pop = (1 << b) - 1, pops.get(j, ())
-            # Only a node whose queue to the peer is full can leave a send
-            # starved; a node with room meets its obligation on the spot.
-            # The full candidates where the peer can pop the head are met in
-            # one step, since only that receive makes room.
-            full_bit = 1 << (field_shift + k * b)  # the sentinel of a full queue
-            candidates, work = [], []  # work starts with the seeds
-            for i in compress(range(len(configs)), map(full_bit.__and__, configs)):
-                cfg = configs[i]
-                if (cfg >> shift & mask) in by_code:
-                    candidates.append(i)
-                    if ((cfg >> peer_shift & peer_mask) << b | cfg >> field_shift & head) in can_pop:
-                        work.append(i)
+            # Only a node where the queue to the peer is full can leave a
+            # send starved; a node with room meets its obligation on the
+            # spot.  The explorer lists these candidates.  Those where the
+            # peer can pop the head are met in one step, since only that
+            # receive makes room: they seed the walk.
+            candidates = graph.blocked[j]
+            work = [i for i in candidates
+                    if ((configs[i] >> peer_shift & peer_mask) << b
+                        | configs[i] >> field_shift & head) in can_pop]
             unmet = len(candidates) - len(work)
             if not unmet:
                 continue
@@ -181,12 +179,14 @@ def check_exhaustive(
             for v in work:
                 met[v] = 1
             for v in work:
-                for e in range(offsets[v], offsets[v + 1]):
-                    u = sources[e]
-                    if not met[u] and movers[e] != ri:
+                e = last_in[v]
+                while e >= 0:
+                    u = src[e]
+                    if not met[u] and movers[step_id[e]] != ri:
                         met[u] = 1
                         work.append(u)
                         unmet -= 1
+                    e = prev_in[e]
                 if not unmet:
                     break
             for i in candidates:
@@ -220,21 +220,24 @@ def check_safety(system: System, graph: BoundedGraph) -> tuple[Violation, ...]:
         reach[u] |= events[sid]
     # Backwards to the fixpoint: each node ends with the OR over all it
     # reaches.  A node is on the worklist at most once.
-    offsets, sources = graph.in_offsets, graph.in_src
-    work = list(range(n))
+    src, last_in, prev_in = graph.src, graph.last_in, graph.prev_in
+    work = array("i", range(n))  # a list would also hold an int object per node
     queued = bytearray(b"\1") * n
     pop, push = work.pop, work.append
     while work:
         v = pop()
         queued[v] = 0
         bits = reach[v]
-        for u in sources[offsets[v]:offsets[v + 1]]:
+        e = last_in[v]
+        while e >= 0:
+            u = src[e]
             old = reach[u]
             if bits | old != old:
                 reach[u] = bits | old
                 if not queued[u]:
                     queued[u] = 1
                     push(u)
+            e = prev_in[e]
 
     # a state is a receive state when its first transition is a receive
     receiving = [{state for state, rows in by_state.items() if not rows[0][4]}
@@ -243,54 +246,37 @@ def check_safety(system: System, graph: BoundedGraph) -> tuple[Violation, ...]:
     for j, ci in enumerate(graph.live):
         sender, receiver = system.channels[ci]
         channels.append((first + j, j, sender, receiver, system.role_index[receiver]))
-    depth = graph.depth
-    best: dict[tuple, tuple[int, int, object]] = {}
+    # Nodes are numbered in BFS order, so the first witness of a key is at
+    # its smallest depth.
+    best: dict[tuple, tuple[int, object]] = {}
     for i, bits in enumerate(reach):
         if bits == full:
             continue
         cfg = configs[i]
-        d = depth[i]
         for ri, role in enumerate(roles):
             if not bits >> ri & 1:
                 state = graph.state(cfg, ri)
                 if state in receiving[ri]:
                     key = ("progress", role, state)
-                    if key not in best or d < best[key][0]:
-                        best[key] = (d, i, ProgressViolation(role, state))
+                    if key not in best:
+                        best[key] = (i, ProgressViolation(role, state))
         for bit, j, sender, receiver, qi in channels:
             if not bits >> bit & 1:
                 queue = graph.queue(cfg, j)
                 if queue:
                     key = ("reception", sender, receiver, graph.state(cfg, qi))
-                    if key not in best or d < best[key][0]:
+                    if key not in best:
                         label, sort = queue[0]
-                        best[key] = (d, i, EventualReceptionViolation(
+                        best[key] = (i, EventualReceptionViolation(
                             sender, receiver, label, sort))
 
     violations = [
         Violation(kind, node, extract_trace(graph, node))
-        for _, node, kind in best.values()]
+        for node, kind in best.values()]
     violations.sort(key=lambda v: (
         len(v.trace), v.witness, v.kind.__class__.__name__,
         tuple(str(x) for x in vars(v.kind).values())))
     return tuple(violations)
-
-
-def local_fingerprint(graph: BoundedGraph, role: str) -> frozenset:
-    """What `role` can do anywhere in the graph: its visited states, each
-    paired with the set of actions it actually fires from that state.
-
-    Stable fingerprints between bound k and k+1 are the telltale that the
-    bound saturated the role's behaviour.
-    """
-    ri = graph.system.role_index[role]
-    fired: dict[int, set[Action]] = {
-        s: set() for s in {graph.state(cfg, ri) for cfg in graph.configs}}
-    for sid in set(graph.step_id):  # each edge's source is in its step's source state
-        mover, code = graph.effects[sid][:2]
-        if mover == ri:
-            fired[graph.states[ri][code]].add(graph.steps[sid].action)
-    return frozenset((s, frozenset(actions)) for s, actions in fired.items())
 
 
 def check_kmc_detailed(

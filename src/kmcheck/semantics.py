@@ -13,22 +13,27 @@ it over full-width `Configuration`s: `apply_step`, `simulator.replay` and
 breadth-first in a packed layout derived from the same table: a
 configuration is one int of bit fields, one per role (the index of its state
 among the machine's sorted states) and one per live channel (one some
-machine sends on; every other channel stays empty and has no field), and the
-edges are three `array('i')` columns (source, step id, target), grouped by
-source; the same edges grouped by target serve the checks' backward walks.
-A queue field holds its messages' codes under a sentinel bit, the head
-lowest, so a step adds a precomputed delta to the int and allocates no
-container.  The explorer takes exactly the steps `enabled_steps` offers, in
-the same order; `BoundedGraph.nodes`, `.edges` and `.parent` show the graph
-in the full-width layout.
+machine sends on; every other channel stays empty and has no field).  A
+queue field holds its messages' codes under a sentinel bit, the head lowest,
+so a step adds a precomputed delta to the int and allocates no container.
+One lookup per block of roles yields the transitions of all of them.  The
+explorer takes exactly the steps `enabled_steps` offers, in the same order.
+
+In the same pass it records what the checks read, in `array('i')` columns:
+each edge's source and step id, grouped by source; a chain through the
+edges into each node, for the backward walks; the nodes where a send found
+its queue full, per channel; and where each BFS level starts.
+`BoundedGraph.nodes`, `.edges` and `.parent` show the graph in the
+full-width layout.
 """
 from __future__ import annotations
 
 import operator
 from array import array
+from bisect import bisect_right
 from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
-from itertools import accumulate
+from functools import cached_property
 
 from .model import Message, Step, System
 
@@ -156,18 +161,23 @@ class BoundedGraph:
 
     `steps` maps a step id to its `Step` and `effects` to what it does, as
     (role index, source state code, live channel, message code, is_send).
-    Edge `e` runs from `src[e]` to `dst[e]` by step `step_id[e]`.
+    Edge `e` leaves `src[e]` by step `step_id[e]`.
 
     Nodes are numbered 0.. in breadth-first discovery order (0 is the initial
     configuration), which makes numbering and edge order deterministic; edges
-    are listed source by source, in node order.  `parent_edge[v]` is the
-    edge that discovered `v` (-1 for node 0), so following it back from any
-    node replays one shortest derivation; `depth` is its length.
+    are listed source by source, in node order.  The nodes at BFS depth `d`
+    are `level_starts[d]` up to `level_starts[d + 1]` (or the last node).
+    `parent_edge[v]` is the edge that discovered `v` (-1 for node 0), so
+    following it back from any node replays one shortest derivation.
 
-    The incoming edges are kept too, grouped by target: the edges into `v`
-    are `in_offsets[v]:in_offsets[v + 1]`, and `in_src` and `in_mover` hold
-    each one's source and the index of the role that moves on it.
+    The edges into each node form a chain, newest first: `last_in[v]` is
+    the last edge into `v` and `prev_in[e]` the edge into the same target
+    before `e` (-1 ends both).  `blocked[j]` lists, in node order, the nodes
+    where the sender of live channel `j` has a send on it and the queue is
+    full.
 
+    `dst` (each edge's target, built from the chains on first access and
+    then kept) and `depth` (each node's BFS depth) are read-only sequences.
     `nodes`, `edges` and `parent` are read-only views in the full-width
     layout of `enabled_steps`: a `Configuration`, a (src, Step, dst) triple
     and a (src, Step) pair or None, each built anew on every access.
@@ -183,14 +193,26 @@ class BoundedGraph:
     messages: tuple[tuple[Message, ...], ...]
     steps: tuple[Step, ...]
     effects: tuple[tuple[int, int, int, int, bool], ...]
+    blocked: tuple[array, ...]
     src: array
     step_id: array
-    dst: array
+    prev_in: array
+    last_in: array
     parent_edge: array
-    depth: list[int]
-    in_offsets: array
-    in_src: array
-    in_mover: array
+    level_starts: array
+
+    @cached_property
+    def dst(self) -> array:
+        dst, prev_in = array("i", [0]) * len(self.src), self.prev_in
+        for v, e in enumerate(self.last_in):
+            while e >= 0:
+                dst[e] = v
+                e = prev_in[e]
+        return dst
+
+    @property
+    def depth(self) -> Sequence[int]:
+        return _View(len(self.configs), self._depth)
 
     @property
     def nodes(self) -> Sequence[Configuration]:
@@ -228,6 +250,9 @@ class BoundedGraph:
         return Configuration(tuple(self.state(cfg, ri) for ri in range(len(self.states))),
                              tuple(queues))
 
+    def _depth(self, v: int) -> int:
+        return bisect_right(self.level_starts, v) - 1
+
     def _edge(self, e: int) -> tuple[int, Step, int]:
         return (self.src[e], self.steps[self.step_id[e]], self.dst[e])
 
@@ -236,18 +261,24 @@ class BoundedGraph:
         return None if e < 0 else (self.src[e], self.steps[self.step_id[e]])
 
 
+BLOCK_BITS = 10  # the widest span of role fields that one lookup table covers
+
+
 def _pack(system: System, k: int):
     """The packed layout under bound `k` (the `BoundedGraph` fields from
-    `states` to `effects`, in order) and the successor groups
-    `build_bounded_graph` fires, both derived from `system.step_table`.
+    `states` to `blocked`, in order; each `blocked` list still empty) and
+    the successor groups `build_bounded_graph` fires, both derived from
+    `system.step_table`.
 
     The groups of role `ri` in the state of code `c` are `groups[ri][c]`:
     each maximal run of the state's transitions on one live channel is one
-    (is_send, shift, field mask, limit, b, rows) group; shift and field mask
-    locate the channel's field.  A send group fires its rows, (role delta,
-    push, step id), in declaration order while the field is below `limit`,
-    its full value; pushing on top of the sentinel at bit `n` adds
-    `push << n`, which writes the code and moves the sentinel `b` bits up.
+    (is_send, shift, field mask, limit, b, rows, note) group; shift and
+    field mask locate the channel's field.  A send group fires its rows,
+    (role delta, push, step id), in declaration order while the field is
+    below `limit`, its full value; pushing on top of the sentinel at bit `n`
+    adds `push << n`, which writes the code and moves the sentinel `b` bits
+    up.  When the field is full, `note` (the channel's `blocked` list's
+    append, or None on a later run on the same channel) records the node.
     A receive group's rows map a head code (the field's bits under `limit`)
     to the one row that pops it, (role delta, 0, step id); a valid state
     receives each message from a peer at most once, so one lookup keeps
@@ -274,6 +305,7 @@ def _pack(system: System, k: int):
         b = max(1, (len(by_message) - 1).bit_length())
         queue_fields.append((shift, b))
         shift += k * b + 1
+    blocked = tuple(array("i") for _ in live)
 
     # per live channel: the first five group items of a receive and of a
     # send run, and what a push adds to a code to move the sentinel up
@@ -289,7 +321,7 @@ def _pack(system: System, k: int):
         by_code: list = [()] * len(states[ri])
         for state, rows in by_state.items():
             src = code_of[state]
-            here, last = [], None
+            here, noted, last = [], set(), None
             for step, dst, ci, message, is_send in rows:
                 j = live_of.get(ci)
                 if j is None:
@@ -300,17 +332,52 @@ def _pack(system: System, k: int):
                 effects.append((ri, src, j, code, is_send))
                 delta = (code_of[dst] - src) << role_shift
                 if j != last:  # a new run
-                    last, run = j, [] if is_send else {}
-                    here.append(heads[j][is_send] + (run,))
+                    last, run, note = j, [] if is_send else {}, None
+                    if is_send and j not in noted:
+                        noted.add(j)
+                        note = blocked[j].append
+                    here.append(heads[j][is_send] + (run, note))
                 if is_send:
                     run.append((delta, code + bumps[j], sid))
                 else:
                     run[code] = ((delta, 0, sid),)
-            by_code[src] = here
+            by_code[src] = tuple(here)
         groups.append(by_code)
     layout = (states, tuple(role_fields), live, tuple(queue_fields),
-              tuple(tuple(by_message) for by_message in codes), tuple(steps), tuple(effects))
+              tuple(tuple(by_message) for by_message in codes), tuple(steps), tuple(effects),
+              blocked)
     return layout, tuple(groups)
+
+
+def _blocks(role_fields, groups) -> list[tuple[int, int, Sequence]]:
+    """One (shift, mask, table) lookup per block of consecutive roles that
+    have transitions, each block spanning at most `BLOCK_BITS` bits of role
+    fields (or one role): `table[cfg >> shift & mask]` holds the groups of
+    every role in the block, in role order, for the block's field value.
+    So the blocks fire the same groups as the roles one by one."""
+    roles = [(shift, mask, by_code)
+             for (shift, mask), by_code in zip(role_fields, groups) if any(by_code)]
+    blocks = []
+    while roles:
+        start = roles[0][0]
+        n = 1
+        while n < len(roles) and roles[n][0] + roles[n][1].bit_length() - start <= BLOCK_BITS:
+            n += 1
+        block, roles = roles[:n], roles[n:]
+        if n == 1:
+            blocks.append(block[0])
+            continue
+        width = block[-1][0] + block[-1][1].bit_length() - start
+        table = []
+        for value in range(1 << width):
+            row = ()
+            for shift, mask, by_code in block:
+                code = value >> (shift - start) & mask
+                if code < len(by_code):  # larger codes name no state and never occur
+                    row += by_code[code]
+            table.append(row)
+        blocks.append((start, (1 << width) - 1, table))
+    return blocks
 
 
 def build_bounded_graph(
@@ -333,20 +400,22 @@ def build_bounded_graph(
     init += sum(1 << shift for shift, _ in queue_fields)
     configs = [init]
     seen = {init: 0}
-    src, step_id, dst = array("i"), array("i"), array("i")
-    parent_edge = array("i", [-1])
-    depth = [0]
-    roles = tuple((shift, mask, by_code)
-                  for (shift, mask), by_code in zip(role_fields, groups) if any(by_code))
-    claim, add_src, add_step, add_dst = seen.setdefault, src.append, step_id.append, dst.append
-    n = 1
+    src, step_id, prev_in = array("i"), array("i"), array("i")
+    last_in, parent_edge, level_starts = array("i", [-1]), array("i", [-1]), array("i", [0])
+    blocks = _blocks(role_fields, groups)
+    claim, add_src, add_step, add_prev = seen.setdefault, src.append, step_id.append, prev_in.append
+    n, e, level_end = 1, 0, 1
     for u, cfg in enumerate(configs):  # nodes are expanded in discovery order
-        d = depth[u] + 1
-        for shift, mask, by_code in roles:
-            for is_send, field_shift, field_mask, limit, b, rows in by_code[cfg >> shift & mask]:
+        if u == level_end:  # every node found so far is at most one level deeper
+            level_starts.append(u)
+            level_end = n
+        for shift, mask, table in blocks:
+            for is_send, field_shift, field_mask, limit, b, rows, note in table[cfg >> shift & mask]:
                 q = cfg >> field_shift & field_mask
                 if is_send:
                     if q >= limit:  # full
+                        if note is not None:
+                            note(u)
                         continue
                     base, at = cfg, field_shift + q.bit_length() - 1
                 else:
@@ -364,31 +433,14 @@ def build_bounded_graph(
                             raise ResourceExhausted(n, k, max_configs)
                         n += 1
                         configs.append(nxt)
-                        parent_edge.append(len(src))
-                        depth.append(d)
+                        parent_edge.append(e)
+                        last_in.append(e)
+                        add_prev(-1)
+                    else:
+                        add_prev(last_in[v])
+                        last_in[v] = e
                     add_src(u)
                     add_step(sid)
-                    add_dst(v)
-    del seen, claim  # the dedupe table goes first, which lowers peak memory
-    incoming = _incoming(n, src, step_id, dst, layout[-1])
-    return BoundedGraph(system, k, configs, *layout, src, step_id, dst, parent_edge, depth,
-                        *incoming)
-
-
-def _incoming(n: int, src: array, step_id: array, dst: array, effects):
-    """The `BoundedGraph` fields `in_offsets`, `in_src` and `in_mover` of a
-    graph with `n` nodes: its edges counting-sorted by target."""
-    fill = [0] * (n + 1)
-    for v in dst:
-        fill[v + 1] += 1
-    fill = list(accumulate(fill))  # where the next edge into each node goes
-    offsets = array("i", fill)
-    sources = array("i", [0]) * len(dst)
-    movers = array("i", sources)
-    mover = [effect[0] for effect in effects]
-    for u, sid, v in zip(src, step_id, dst):
-        e = fill[v]
-        fill[v] = e + 1
-        sources[e] = u
-        movers[e] = mover[sid]
-    return offsets, sources, movers
+                    e += 1
+    return BoundedGraph(system, k, configs, *layout, src, step_id, prev_in, last_in,
+                        parent_edge, level_starts)

@@ -6,7 +6,8 @@ Run from the repository root:
 
 `oracle.json` holds the brute-force reference's verdicts, graph sizes and
 witness depths.  `reports.json` holds what `kmcheck check` prints for every
-fixture, with timings scrubbed, so the byte-stability of reports is tested.
+fixture and for a small member of each `graphs` benchmark family, with
+timings scrubbed, so the byte-stability of reports is tested.
 The tests compare against the frozen files, never against a live oracle run
 or an earlier checkout, so expected values only change when this script is
 re-run on purpose.
@@ -18,14 +19,17 @@ import json
 import pathlib
 import re
 import sys
+import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 
 sys.path.insert(0, str(pathlib.Path(__file__).parent))
+sys.path.insert(0, str(pathlib.Path(__file__).parent.parent / "perfbench"))
 
 from kmcheck import cli
 from kmcheck.dsl import parse_system
 
 import oracle
+import workloads
 
 HERE = pathlib.Path(__file__).parent
 FIXTURES = HERE / "fixtures"
@@ -47,6 +51,16 @@ GRAPH_PINS = {
 # the flags of each pinned `kmcheck check` run
 REPORT_MODES = {"json": ["--json"], "plain": [], "bounded": ["--report-bounded-violations"]}
 
+# small members of the `graphs` benchmark families whose reports are pinned
+# too, as (input name, family, family arguments, extra flags)
+FAMILY_REPORTS = [
+    ("pipeline5", workloads.pipeline, (5,), []),
+    ("fanout4", workloads.fanout, (4,), []),
+    ("burst-unsafe3x2", workloads.burst_unsafe, (3, 2), []),
+    ("flooded-pipeline4", workloads.flooded_pipeline, (4, 3), ["--max-bound", "3"]),
+]
+FAMILY_SEED = 5
+
 
 def _scrub(text: str, path: pathlib.Path) -> str:
     """`text` with its timings zeroed and the fixture's path cut to its name."""
@@ -55,20 +69,32 @@ def _scrub(text: str, path: pathlib.Path) -> str:
     return text.replace(str(path), path.name)
 
 
+def _report(path: pathlib.Path, flags: list[str]) -> dict:
+    """The exit code, stdout and stderr of `kmcheck check` on `path` with
+    `flags`, scrubbed."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(["check", str(path), *flags])
+    return {"exit": code,
+            "stdout": _scrub(out.getvalue(), path),
+            "stderr": _scrub(err.getvalue(), path)}
+
+
 def check_reports() -> dict:
-    """fixture name -> mode -> the exit code, stdout and stderr of
-    `kmcheck check` on the fixture with the mode's flags, scrubbed."""
+    """input name -> mode -> the scrubbed `kmcheck check` report of the
+    input with the mode's flags, for every fixture and every family member
+    of `FAMILY_REPORTS` (written to a temporary `<name>.kmc` first)."""
     reports: dict = {}
     for path in sorted(FIXTURES.glob("*.kmc")):
-        for mode, flags in REPORT_MODES.items():
-            out, err = io.StringIO(), io.StringIO()
-            with redirect_stdout(out), redirect_stderr(err):
-                code = cli.main(["check", str(path), *flags])
-            reports.setdefault(path.name, {})[mode] = {
-                "exit": code,
-                "stdout": _scrub(out.getvalue(), path),
-                "stderr": _scrub(err.getvalue(), path),
-            }
+        reports[path.name] = {mode: _report(path, flags)
+                              for mode, flags in REPORT_MODES.items()}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, family, args, extra in FAMILY_REPORTS:
+            case = workloads.make_case(name, family, args, 0, FAMILY_SEED)
+            path = pathlib.Path(tmp) / f"{name}.kmc"
+            path.write_text(case.text)
+            reports[path.name] = {mode: _report(path, flags + extra)
+                                  for mode, flags in REPORT_MODES.items()}
     return reports
 
 

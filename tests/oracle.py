@@ -11,6 +11,8 @@ The last sections keep two implementations the package replaced, for the
 differential tests: the term-rewriting local type compiler, and the explorer
 over full-width configurations (which takes its steps from the package's
 `enabled_steps`, the one step rule the compact explorer must agree with).
+Between them sits `local_fingerprint`, a test-only summary of what each role
+does in a graph.
 """
 from __future__ import annotations
 
@@ -313,6 +315,28 @@ def reference_machine(lt: LocalType) -> Machine:
         for src, row in enumerate(succ)
         for action, nxt in row)
     return Machine(frozenset(range(len(succ))), 0, transitions)
+
+
+# --- local fingerprints -----------------------------------------------------
+#
+# Kept with the tests that use it: no part of the package reads it.
+
+
+def local_fingerprint(graph, role: str) -> frozenset:
+    """What `role` can do anywhere in a `BoundedGraph`: its visited states,
+    each paired with the set of actions it actually fires from that state.
+
+    Stable fingerprints between bound k and k+1 are the telltale that the
+    bound saturated the role's behaviour.  Read off the graph's `nodes` and
+    `edges` views.
+    """
+    ri = graph.system.roles.index(role)
+    states = [cfg.locals[ri] for cfg in graph.nodes]
+    fired: dict[int, set[Action]] = {s: set() for s in states}
+    for u, step, _ in graph.edges:
+        if step.role == role:
+            fired[states[u]].add(step.action)
+    return frozenset((s, frozenset(actions)) for s, actions in fired.items())
 
 
 # --- reference explorer -----------------------------------------------------

@@ -15,7 +15,6 @@ from kmcheck.checker import (
     check_kmc_detailed,
     check_safety,
     extract_trace,
-    local_fingerprint,
 )
 from kmcheck.dsl import parse_system
 from kmcheck.model import Action, Direction, Machine, System, receive, send
@@ -24,6 +23,7 @@ from kmcheck.simulator import replay
 
 from conftest import FIXTURES, fixture_system
 from generators import random_system
+from oracle import local_fingerprint
 
 CLASS_OF = {Safe: "safe", Unsafe: "unsafe", Inconclusive: "inconclusive"}
 

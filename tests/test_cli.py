@@ -192,7 +192,8 @@ def test_json_output_is_stable_apart_from_timing(capsys):
 
 
 def test_check_reports_match_the_frozen_ones():
-    # every fixture, as --json, plain and --report-bounded-violations
+    # every fixture and a small member of each `graphs` family, as --json,
+    # plain and --report-bounded-violations
     assert check_reports() == json.loads(REPORTS.read_text())["reports"]
 
 

@@ -1,8 +1,9 @@
 """The packed explorer against the full-width reference in oracle.py: every
 graph must have the same nodes, edges, parents and depths, numbering and edge
-order included, and the same edges again grouped by target.  Systems with
-negative, sparse or huge state ids, and queues whose fields outgrow a machine
-word, pin the packed layout."""
+order included; each node's chain of incoming edges must hold the edges into
+it, and each channel's blocked list the nodes where a send on it is full.
+Systems with negative, sparse or huge state ids, and queues whose fields
+outgrow a machine word, pin the packed layout."""
 from __future__ import annotations
 
 import random
@@ -13,33 +14,61 @@ import pytest
 
 from kmcheck.checker import Safe, Unsafe, check_kmc_detailed
 from kmcheck.dsl import parse_system
-from kmcheck.model import Machine, System, receive, send
+from kmcheck.model import Direction, Machine, System, receive, send
 from kmcheck.semantics import ResourceExhausted, build_bounded_graph
 
 import oracle
 from conftest import FIXTURES, HERE, fixture_system
-from generators import random_system
+from generators import own_move_system, random_system
 from test_checks_per_bound import _compare_bound
 
 sys.path.insert(0, str(HERE.parent / "perfbench"))
 import workloads  # noqa: E402
 
 
-def _agrees(system, k: int) -> None:
+def _agrees(system, k: int) -> int:
+    """Compare the graph of `system` under `k` with the reference; return
+    how many blocked sends it lists."""
     graph = build_bounded_graph(system, k)
     ref = oracle.reference_graph(system, k)
     assert graph.nodes == ref.nodes
     assert graph.edges == ref.edges
     assert graph.parent == ref.parent
     assert graph.depth == ref.depth
-    # the incoming columns: every edge once, grouped by target in edge order
+    # the chains: each node's, reversed, holds the edges into it in edge order
     into = [[] for _ in ref.nodes]
-    for u, step, v in ref.edges:
-        into[v].append((u, step.role))
-    offsets, roles = graph.in_offsets, system.roles
-    assert len(offsets) == len(into) + 1 and offsets[-1] == len(graph.in_src)
-    assert [[(graph.in_src[e], roles[graph.in_mover[e]]) for e in range(offsets[v], offsets[v + 1])]
-            for v in range(len(into))] == into
+    for e, (_, _, v) in enumerate(ref.edges):
+        into[v].append(e)
+    assert len(graph.last_in) == len(into) and len(graph.prev_in) == len(ref.edges)
+    chains = []
+    for e in graph.last_in:
+        chain = []
+        while e >= 0:
+            chain.append(e)
+            e = graph.prev_in[e]
+        chains.append(chain[::-1])
+    assert chains == into
+    # the blocked sends: per channel with a send, the nodes where its queue
+    # is full while its sender's state has a send on it
+    assert {system.channels[ci]: list(graph.blocked[j]) for j, ci in enumerate(graph.live)} \
+        == _blocked_sends(system, k, ref.nodes)
+    return sum(map(len, graph.blocked))
+
+
+def _blocked_sends(system, k: int, nodes) -> dict:
+    """(sender, receiver) -> the indices of `nodes` where the channel's
+    queue holds `k` messages and the sender's state has a send to the
+    receiver, for every channel some machine sends on."""
+    sending = {}  # channel -> the sender's states with a send on it
+    for sender, m in system.machines.items():
+        for state, action, _ in m.transitions:
+            if action.direction is Direction.SEND:
+                sending.setdefault((sender, action.peer), set()).add(state)
+    return {(sender, receiver): [
+                i for i, cfg in enumerate(nodes)
+                if len(cfg.buffers[system.channels.index((sender, receiver))]) == k
+                and cfg.locals[system.role_index[sender]] in states]
+            for (sender, receiver), states in sending.items()}
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -64,14 +93,45 @@ def test_small_family_graphs_match_reference(family, args):
         _agrees(system, k)
 
 
+def test_roles_split_into_lookup_blocks_match_reference():
+    # fanout 4 has 11 bits of role fields, so its roles take two lookups
+    system = parse_system(workloads.make_case("fanout4", workloads.fanout, (4,), 3, seed=5).text)
+    for k in (1, 2):
+        _agrees(system, k)
+
+
 def test_random_graphs_match_reference():
     rng = random.Random(2024)
     started = time.process_time()  # CPU seconds, unlike wall time immune to a busy host
+    blocked = 0
     for _ in range(1000):
         system = random_system(rng, max_roles=4, max_states=6)
         for k in (1, 2, 3):
-            _agrees(system, k)
+            blocked += _agrees(system, k)
     assert time.process_time() - started < 5.0
+    assert blocked >= 10_000, blocked
+
+
+def test_own_move_graphs_match_reference():
+    # every draw starves a send at some bound, so its blocked lists fill up
+    rng = random.Random(20261018)
+    blocked = 0
+    for _ in range(100):
+        system = own_move_system(rng)
+        for k in (1, 2, 3):
+            blocked += _agrees(system, k)
+    assert blocked >= 1000, blocked
+
+
+def test_split_send_runs_note_a_node_once():
+    # a's sends to b form two runs, split by a send to c: a node where a's
+    # queue to b is full is still listed once
+    system = parse_system("role a: rec t. {b!x; t} or {c!y; t} or {b!z; t}\n"
+                          "role b: rec t. {a?x; t} or {a?z; t}\n"
+                          "role c: rec t. a?y; t\n")
+    for k in (1, 2):
+        assert _agrees(system, k)
+        assert _compare_bound(system, k) is not None  # both checks met the oracle
 
 
 def _verdict(system):
