@@ -29,10 +29,7 @@ from .dsl import (
     ParseError,
     SourceSpan,
     ValidationError,
-    machine_to_local_type,
     parse_system,
-    render_local_type,
-    render_system,
 )
 from .model import (
     Action,
@@ -52,7 +49,6 @@ from .model import (
     System,
     UnboundVariable,
     UnguardedRecursion,
-    find_isomorphism,
     local_type_to_machine,
     receive,
     send,

@@ -73,11 +73,11 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _load(parser: _Parser, path: str):
+def _load(path: str):
     try:
         text = pathlib.Path(path).read_text(encoding="utf-8")
     except OSError as exc:
-        print(f"{parser.prog}: cannot read {path}: {exc.strerror or exc}", file=sys.stderr)
+        print(f"kmcheck: cannot read {path}: {exc.strerror or exc}", file=sys.stderr)
         raise SystemExit(EX_IOERR)
     except UnicodeDecodeError:
         print(f"{path}: not UTF-8 text", file=sys.stderr)
@@ -165,7 +165,7 @@ def _run_check(args) -> int:
         print(f"{parser_prog}: error: bounds and caps must be at least 1", file=sys.stderr)
         return EX_USAGE
 
-    system = _load(build_parser(), args.file)
+    system = _load(args.file)
     try:
         outcome = check_kmc_detailed(
             system, args.max_bound, max_configs,
@@ -205,7 +205,7 @@ def _run_simulate(args) -> int:
         print("kmcheck simulate: error: bound must be at least 1 and steps at least 0",
               file=sys.stderr)
         return EX_USAGE
-    system = _load(build_parser(), args.file)
+    system = _load(args.file)
     result = simulate(system, args.bound, args.seed, args.steps)
     if args.trace:
         try:
@@ -226,7 +226,7 @@ def _run_simulate(args) -> int:
 
 
 def _run_export_dot(args) -> int:
-    system = _load(build_parser(), args.file)
+    system = _load(args.file)
     out_dir = pathlib.Path(args.out_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)

@@ -3,6 +3,8 @@ from __future__ import annotations
 
 from .model import Machine
 
+_KEYWORDS = frozenset(("node", "edge", "graph", "digraph", "subgraph", "strict"))
+
 
 def machine_to_dot(role: str, machine: Machine) -> str:
     """One `digraph` for one role's machine.
@@ -11,8 +13,10 @@ def machine_to_dot(role: str, machine: Machine) -> str:
     order.  The initial state is pointed at from a point-shaped pseudo-node
     and terminal states are drawn with a double border.
     """
+    # DOT reserves its keywords in any case; a role named like one is quoted
+    name = f'"{role}"' if role.lower() in _KEYWORDS else role
     lines = [
-        f"digraph {role} {{",
+        f"digraph {name} {{",
         "  rankdir=LR;",
         "  __start [shape=point];",
         f"  __start -> s{machine.initial};",

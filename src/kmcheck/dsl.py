@@ -298,80 +298,8 @@ def parse_system(text: str) -> System:
     if failures:
         raise DslError(failures)
     for name_tok, lt in decls:
-        machines[name_tok.text] = local_type_to_machine(lt, name_tok.text)
+        machines[name_tok.text] = local_type_to_machine(lt)
     system = System(tuple(roles), machines)
     assert not has_errors(validate_system(system))
     return system
 
-
-# --- rendering --------------------------------------------------------------
-
-
-def machine_to_local_type(machine: Machine) -> LocalType:
-    """Expand a machine back into a local type.
-
-    Each state that a cycle re-enters becomes a ``rec t<id>.`` binder, so
-    variable names are stable across renders of the same machine.  A state
-    reached along several paths is expanded once per path, so the type can
-    grow exponentially with shared sub-behaviour.  Nothing here recurses.
-    """
-    # the states being expanded, root first, each with whether a variable
-    # inside its expansion names it (then it needs a binder)
-    path: dict[int, bool] = {}
-    done: list[LocalType] = []  # finished terms, left to right
-    stack = [(machine.initial, False)]
-    while stack:
-        state, children_done = stack.pop()
-        out = machine.outgoing(state)
-        if children_done:
-            first = len(done) - len(out)
-            term = Choice(tuple(Branch(a, tail) for (a, _), tail in zip(out, done[first:])))
-            del done[first:]
-            done.append(RecBinder(f"t{state}", term) if path.pop(state) else term)
-        elif state in path:
-            path[state] = True
-            done.append(RecVar(f"t{state}"))
-        elif not out:
-            done.append(End())
-        else:
-            path[state] = False
-            stack.append((state, True))
-            stack.extend((dst, False) for _, dst in reversed(out))
-    return done[0]
-
-
-def render_local_type(lt: LocalType) -> str:
-    parts: list[str] = []
-    stack: list[LocalType | str] = [lt]  # text to emit or a term to render
-    while stack:
-        t = stack.pop()
-        if isinstance(t, str):
-            parts.append(t)
-        elif isinstance(t, End):
-            parts.append("end")
-        elif isinstance(t, RecVar):
-            parts.append(t.var)
-        elif isinstance(t, RecBinder):
-            parts.append(f"rec {t.var}. ")
-            stack.append(t.body)
-        else:
-            opening, closing = ("{", "}") if len(t.branches) > 1 else ("", "")
-            for i, b in reversed(tuple(enumerate(t.branches))):
-                a = b.action
-                stack += (closing, b.tail,
-                          f"{opening}{a.peer}{a.direction.value}{a.label}<{a.sort}>; ")
-                if i:
-                    stack.append(" or ")
-    return "".join(parts)
-
-
-def render_system(system: System) -> str:
-    """Canonical text for a system: one declaration per role, in role order.
-
-    Parsing the result yields a system whose machines are isomorphic to the
-    originals, and rendering is idempotent on its own output.
-    """
-    lines = [
-        f"role {r}: {render_local_type(machine_to_local_type(system.machines[r]))}"
-        for r in system.roles]
-    return "\n".join(lines) + "\n"

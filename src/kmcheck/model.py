@@ -108,11 +108,6 @@ class RecBinder:
 LocalType = End | RecVar | Choice | RecBinder
 
 
-def prefix(action: Action, tail: LocalType) -> Choice:
-    """Single-action continuation, the common degenerate choice."""
-    return Choice((Branch(action, tail),))
-
-
 class LocalTypeError(ValueError):
     """A structurally ill-formed local type."""
 
@@ -360,7 +355,7 @@ class _Terms:
         return i
 
 
-def local_type_to_machine(lt: LocalType, subject: str) -> Machine:
+def local_type_to_machine(lt: LocalType) -> Machine:
     """Compile a local type to its machine.
 
     States are the distinct behaviours among sub-terms of `lt`: a binder is
@@ -371,9 +366,10 @@ def local_type_to_machine(lt: LocalType, subject: str) -> Machine:
     the initial state is 0 and numbering is canonical.
 
     Raises UnguardedRecursion, UnboundVariable, MixedChoice or
-    DuplicateBranch on an ill-formed input.
+    DuplicateBranch on an ill-formed input.  Peers are not checked here:
+    `parse_system` and `validate_system` do that against the system.
     """
-    issues = check_local_type(lt, subject=None, roles=None)
+    issues = check_local_type(lt)
     if issues:
         first = issues[0]
         raise first.kind(first.message, first.span)
@@ -404,37 +400,6 @@ def local_type_to_machine(lt: LocalType, subject: str) -> Machine:
         for src, row in enumerate(succ)
         for action, nxt in row)
     return Machine(frozenset(range(len(succ))), 0, transitions)
-
-
-def find_isomorphism(a: Machine, b: Machine) -> dict[int, int] | None:
-    """State bijection making `b` identical to `a`, or None.
-
-    Both machines must be deterministic with all states reachable, which
-    makes the candidate mapping unique: pair the initials, then follow
-    matching actions.
-    """
-    if len(a.states) != len(b.states) or len(a.transitions) != len(b.transitions):
-        return None
-    mapping = {a.initial: b.initial}
-    queue = [a.initial]
-    while queue:
-        s = queue.pop()
-        t = mapping[s]
-        out_a = {act: dst for act, dst in a.outgoing(s)}
-        out_b = {act: dst for act, dst in b.outgoing(t)}
-        if set(out_a) != set(out_b):
-            return None
-        for act, dst in out_a.items():
-            image = out_b[act]
-            if dst in mapping:
-                if mapping[dst] != image:
-                    return None
-            else:
-                mapping[dst] = image
-                queue.append(dst)
-    if len(mapping) != len(a.states):
-        return None
-    return mapping
 
 
 # --- systems ----------------------------------------------------------------

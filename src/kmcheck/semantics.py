@@ -22,7 +22,7 @@ explorer takes exactly the steps `enabled_steps` offers, in the same order.
 In the same pass it records what the checks read, in `array('i')` columns:
 each edge's source and step id, grouped by source; a chain through the
 edges into each node, for the backward walks; the nodes where a send found
-its queue full, per channel; and where each BFS level starts.
+its queue full, per channel; and the edge that discovered each node.
 `BoundedGraph.nodes`, `.edges` and `.parent` show the graph in the
 full-width layout.
 """
@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import operator
 from array import array
-from bisect import bisect_right
 from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property
@@ -165,10 +164,9 @@ class BoundedGraph:
 
     Nodes are numbered 0.. in breadth-first discovery order (0 is the initial
     configuration), which makes numbering and edge order deterministic; edges
-    are listed source by source, in node order.  The nodes at BFS depth `d`
-    are `level_starts[d]` up to `level_starts[d + 1]` (or the last node).
-    `parent_edge[v]` is the edge that discovered `v` (-1 for node 0), so
-    following it back from any node replays one shortest derivation.
+    are listed source by source, in node order.  `parent_edge[v]` is the edge
+    that discovered `v` (-1 for node 0), so following it back from any node
+    replays one shortest derivation.
 
     The edges into each node form a chain, newest first: `last_in[v]` is
     the last edge into `v` and `prev_in[e]` the edge into the same target
@@ -176,11 +174,11 @@ class BoundedGraph:
     where the sender of live channel `j` has a send on it and the queue is
     full.
 
-    `dst` (each edge's target, built from the chains on first access and
-    then kept) and `depth` (each node's BFS depth) are read-only sequences.
-    `nodes`, `edges` and `parent` are read-only views in the full-width
-    layout of `enabled_steps`: a `Configuration`, a (src, Step, dst) triple
-    and a (src, Step) pair or None, each built anew on every access.
+    `dst` (each edge's target) is built from the chains on first access and
+    then kept.  `nodes`, `edges` and `parent` are read-only views in the
+    full-width layout of `enabled_steps`: a `Configuration`, a (src, Step,
+    dst) triple and a (src, Step) pair or None, each built anew on every
+    access.
     """
 
     system: System
@@ -199,7 +197,6 @@ class BoundedGraph:
     prev_in: array
     last_in: array
     parent_edge: array
-    level_starts: array
 
     @cached_property
     def dst(self) -> array:
@@ -209,10 +206,6 @@ class BoundedGraph:
                 dst[e] = v
                 e = prev_in[e]
         return dst
-
-    @property
-    def depth(self) -> Sequence[int]:
-        return _View(len(self.configs), self._depth)
 
     @property
     def nodes(self) -> Sequence[Configuration]:
@@ -249,9 +242,6 @@ class BoundedGraph:
             queues[ci] = self.queue(cfg, j)
         return Configuration(tuple(self.state(cfg, ri) for ri in range(len(self.states))),
                              tuple(queues))
-
-    def _depth(self, v: int) -> int:
-        return bisect_right(self.level_starts, v) - 1
 
     def _edge(self, e: int) -> tuple[int, Step, int]:
         return (self.src[e], self.steps[self.step_id[e]], self.dst[e])
@@ -401,14 +391,11 @@ def build_bounded_graph(
     configs = [init]
     seen = {init: 0}
     src, step_id, prev_in = array("i"), array("i"), array("i")
-    last_in, parent_edge, level_starts = array("i", [-1]), array("i", [-1]), array("i", [0])
+    last_in, parent_edge = array("i", [-1]), array("i", [-1])
     blocks = _blocks(role_fields, groups)
     claim, add_src, add_step, add_prev = seen.setdefault, src.append, step_id.append, prev_in.append
-    n, e, level_end = 1, 0, 1
+    n, e = 1, 0
     for u, cfg in enumerate(configs):  # nodes are expanded in discovery order
-        if u == level_end:  # every node found so far is at most one level deeper
-            level_starts.append(u)
-            level_end = n
         for shift, mask, table in blocks:
             for is_send, field_shift, field_mask, limit, b, rows, note in table[cfg >> shift & mask]:
                 q = cfg >> field_shift & field_mask
@@ -443,4 +430,4 @@ def build_bounded_graph(
                     add_step(sid)
                     e += 1
     return BoundedGraph(system, k, configs, *layout, src, step_id, prev_in, last_in,
-                        parent_edge, level_starts)
+                        parent_edge)

@@ -91,12 +91,12 @@ def random_system(
         others = tuple(x for x in roles if x != role)
         for _ in range(tries):
             lt = random_local_type(rng, others, labels, sorts, budget)
-            machine = local_type_to_machine(lt, role)
+            machine = local_type_to_machine(lt)
             if len(machine.states) <= max_states:
                 machines[role] = machine
                 break
         else:
-            machines[role] = local_type_to_machine(End(), role)
+            machines[role] = local_type_to_machine(End())
     return System(roles, machines)
 
 
@@ -113,7 +113,7 @@ def random_roundtrip_system(rng: random.Random) -> System:
             labels=("go", "stop", "data"),
             sorts=("unit", "int", "bool"),
             budget=rng.randint(4, 10))
-        machines[role] = local_type_to_machine(lt, role)
+        machines[role] = local_type_to_machine(lt)
     return System(roles, machines)
 
 

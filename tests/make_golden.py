@@ -6,8 +6,9 @@ Run from the repository root:
 
 `oracle.json` holds the brute-force reference's verdicts, graph sizes and
 witness depths.  `reports.json` holds what `kmcheck check` prints for every
-fixture and for a small member of each `graphs` benchmark family, with
-timings scrubbed, so the byte-stability of reports is tested.
+fixture, for a small member of each `graphs` benchmark family and for one
+malformed input per kind of DSL error, with timings scrubbed, so the
+byte-stability of reports and error messages is tested.
 The tests compare against the frozen files, never against a live oracle run
 or an earlier checkout, so expected values only change when this script is
 re-run on purpose.
@@ -61,6 +62,25 @@ FAMILY_REPORTS = [
 ]
 FAMILY_SEED = 5
 
+# one small input per kind of DSL error, whose exit code and stderr are
+# pinned (plain mode only: a malformed input is rejected before any flag
+# matters), as input name -> text
+MALFORMED = {
+    "malformed-lexical": "role a: b!x; end $\n",
+    "malformed-syntax": "role a: b!x end\n",
+    "malformed-duplicate-role": "role a: end\nrole a: end\n",
+    "malformed-role-name": "role \u00e9: end\n",
+    "malformed-no-roles": "// nothing here\n",
+    "malformed-unbound": "role a: b!x; t\nrole b: a?x; end\n",
+    "malformed-unguarded": "role a: rec t. t\nrole b: end\n",
+    "malformed-mixed-choice": "role a: {b!x; end} or {b?y; end}\nrole b: a?x; end\n",
+    "malformed-duplicate-branch": "role a: {b!x; end} or {b!x<int>; end}\nrole b: a?x; end\n",
+    "malformed-self": "role a: a!x; end\n",
+    "malformed-unknown-peer": "role a: c!x; end\n",
+    "malformed-several": ("role a: a!x; c!y; t\nrole a: end\n"
+                          "role b: {a!x; end} or {a?x; end}\n"),
+}
+
 
 def _scrub(text: str, path: pathlib.Path) -> str:
     """`text` with its timings zeroed and the fixture's path cut to its name."""
@@ -83,7 +103,8 @@ def _report(path: pathlib.Path, flags: list[str]) -> dict:
 def check_reports() -> dict:
     """input name -> mode -> the scrubbed `kmcheck check` report of the
     input with the mode's flags, for every fixture and every family member
-    of `FAMILY_REPORTS` (written to a temporary `<name>.kmc` first)."""
+    of `FAMILY_REPORTS` and every input of `MALFORMED` (each written to a
+    temporary `<name>.kmc` first)."""
     reports: dict = {}
     for path in sorted(FIXTURES.glob("*.kmc")):
         reports[path.name] = {mode: _report(path, flags)
@@ -95,6 +116,10 @@ def check_reports() -> dict:
             path.write_text(case.text)
             reports[path.name] = {mode: _report(path, flags + extra)
                                   for mode, flags in REPORT_MODES.items()}
+        for name, text in MALFORMED.items():
+            path = pathlib.Path(tmp) / f"{name}.kmc"
+            path.write_text(text, encoding="utf-8")
+            reports[path.name] = {"plain": _report(path, [])}
     return reports
 
 

@@ -11,8 +11,9 @@ The last sections keep two implementations the package replaced, for the
 differential tests: the term-rewriting local type compiler, and the explorer
 over full-width configurations (which takes its steps from the package's
 `enabled_steps`, the one step rule the compact explorer must agree with).
-Between them sits `local_fingerprint`, a test-only summary of what each role
-does in a graph.
+Between them sit what only tests read: machine isomorphism and rendering a
+machine back to text, for the round-trip tests, and `local_fingerprint`, a
+summary of what each role does in a graph.
 """
 from __future__ import annotations
 
@@ -317,6 +318,86 @@ def reference_machine(lt: LocalType) -> Machine:
     return Machine(frozenset(range(len(succ))), 0, transitions)
 
 
+def prefix(action: Action, tail: LocalType) -> Choice:
+    """Single-action continuation, the common degenerate choice."""
+    return Choice((Branch(action, tail),))
+
+
+# --- isomorphism and rendering ----------------------------------------------
+#
+# What the round-trip tests compare machines and texts with.  No part of the
+# package reads them.
+
+
+def find_isomorphism(a: Machine, b: Machine) -> dict[int, int] | None:
+    """State bijection making `b` identical to `a`, or None.
+
+    Both machines must be deterministic with all states reachable, which
+    makes the candidate mapping unique: pair the initials, then follow
+    matching actions.
+    """
+    if len(a.states) != len(b.states) or len(a.transitions) != len(b.transitions):
+        return None
+    mapping = {a.initial: b.initial}
+    queue = [a.initial]
+    while queue:
+        s = queue.pop()
+        out_a, out_b = dict(a.outgoing(s)), dict(b.outgoing(mapping[s]))
+        if out_a.keys() != out_b.keys():
+            return None
+        for act, dst in out_a.items():
+            image = out_b[act]
+            if dst not in mapping:
+                mapping[dst] = image
+                queue.append(dst)
+            elif mapping[dst] != image:
+                return None
+    return mapping if len(mapping) == len(a.states) else None
+
+
+def render_machine(machine: Machine) -> str:
+    """The machine as local type text, in one walk.
+
+    Each state that a cycle re-enters gets a ``rec t<id>.`` binder, so
+    variable names are stable across renders of the same machine.  A state
+    reached along several paths is written once per path, so the text can
+    grow exponentially with shared sub-behaviour.  Nothing here recurses.
+    """
+    parts: list[str] = []
+    binder: dict[int, int] = {}  # each state being written -> its binder's slot in `parts`
+    stack: list = [machine.initial]  # a state to write, text, or a written state's (state,)
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            parts.append(item)
+        elif isinstance(item, tuple):
+            del binder[item[0]]
+        elif item in binder:
+            parts[binder[item]] = f"rec t{item}. "
+            parts.append(f"t{item}")
+        elif not (out := machine.outgoing(item)):
+            parts.append("end")
+        else:
+            binder[item] = len(parts)
+            parts.append("")
+            opening, closing = ("{", "}") if len(out) > 1 else ("", "")
+            stack.append((item,))
+            for i, (action, dst) in reversed(tuple(enumerate(out))):
+                stack += (closing, dst, f"{opening}{action}; ")
+                if i:
+                    stack.append(" or ")
+    return "".join(parts)
+
+
+def render_system(system: System) -> str:
+    """Canonical text for a system: one declaration per role, in role order.
+
+    Parsing the result yields a system whose machines are isomorphic to the
+    originals, and rendering is idempotent on its own output.
+    """
+    return "".join(f"role {r}: {render_machine(system.machines[r])}\n" for r in system.roles)
+
+
 # --- local fingerprints -----------------------------------------------------
 #
 # Kept with the tests that use it: no part of the package reads it.
@@ -344,8 +425,9 @@ def local_fingerprint(graph, role: str) -> frozenset:
 # The breadth-first explorer that `semantics.build_bounded_graph` replaced:
 # it keeps every configuration as a full-width `Configuration`, takes its
 # steps from `enabled_steps` and lists edges as (src, step, dst) tuples.  The
-# differential tests compare its nodes, edges, parents and depths with the
-# compact explorer's views.
+# differential tests compare its nodes, edges and parents with the compact
+# explorer's views, and read each node's BFS depth, which the compact graph
+# does not keep, from it.
 
 
 @dataclass

@@ -21,14 +21,13 @@ from kmcheck.checker import (
     check_kmc_detailed,
 )
 from kmcheck.cli import main
-from kmcheck.dsl import parse_system, render_system
-from kmcheck.model import find_isomorphism
+from kmcheck.dsl import parse_system
 from kmcheck.semantics import build_bounded_graph
 from kmcheck.simulator import Outcome, replay, simulate
 
 from conftest import FIXTURES, fixture_system
 from generators import random_roundtrip_system, random_system
-from oracle import Blowup, local_fingerprint, oracle_verdict
+from oracle import Blowup, find_isomorphism, local_fingerprint, oracle_verdict, render_system
 
 
 @contextmanager

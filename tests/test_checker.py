@@ -23,7 +23,7 @@ from kmcheck.simulator import replay
 
 from conftest import FIXTURES, fixture_system
 from generators import random_system
-from oracle import local_fingerprint
+from oracle import local_fingerprint, reference_graph
 
 CLASS_OF = {Safe: "safe", Unsafe: "unsafe", Inconclusive: "inconclusive"}
 
@@ -189,12 +189,14 @@ def test_all_terminal_graph_is_safe():
 def test_traces_are_shortest_and_replayable():
     system = fixture_system("fib_progress_bug.kmc")
     graph = build_bounded_graph(system, 1)
+    ref = reference_graph(system, 1)  # an independent BFS, for the depths
+    assert graph.nodes == ref.nodes
     for v in check_safety(system, graph):
-        assert len(v.trace) == graph.depth[v.witness]
+        assert len(v.trace) == ref.depth[v.witness]
         assert replay(system, v.trace, 1) == graph.nodes[v.witness]
     # extract_trace agrees with depth everywhere
     for node in range(len(graph.nodes)):
-        assert len(extract_trace(graph, node)) == graph.depth[node]
+        assert len(extract_trace(graph, node)) == ref.depth[node]
 
 
 def test_verdicts_match_frozen_reference(golden):

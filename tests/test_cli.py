@@ -94,8 +94,10 @@ def test_check_verdict_exit_codes(capsys):
 
 
 def test_check_unreadable_file(capsys):
-    assert main(["check", str(FIXTURES / "missing.kmc")]) == 74
-    assert "cannot read" in capsys.readouterr().err
+    missing = FIXTURES / "missing.kmc"
+    assert main(["check", str(missing)]) == 74
+    assert capsys.readouterr().err == \
+        f"kmcheck: cannot read {missing}: No such file or directory\n"
 
 
 def test_check_parse_error_positions(tmp_path, capsys):
@@ -271,6 +273,15 @@ def test_export_dot_writes_one_file_per_role(tmp_path, capsys):
     assert main(["export-dot", FIB, "-o", str(tmp_path)]) == 0
     capsys.readouterr()
     assert {p.name: p.read_bytes() for p in tmp_path.glob("*.dot")} == first
+
+
+def test_export_dot_quotes_roles_named_like_dot_keywords(tmp_path, capsys):
+    spec = tmp_path / "keywords.kmc"
+    spec.write_text("role node: Graph!x; end\nrole Graph: node?x; end\n")
+    assert main(["export-dot", str(spec), "-o", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert (tmp_path / "node.dot").read_text().startswith('digraph "node" {\n')
+    assert (tmp_path / "Graph.dot").read_text().startswith('digraph "Graph" {\n')
 
 
 def test_export_dot_io_error(tmp_path, capsys):

@@ -16,11 +16,11 @@ from kmcheck.model import (
     RecBinder,
     RecVar,
     local_type_to_machine,
-    prefix,
     send,
 )
 
 import oracle
+from oracle import prefix
 from conftest import FIXTURES, HERE
 from generators import random_local_type
 
@@ -36,14 +36,14 @@ def _decls(text: str):
     return [(tok.text, lt) for tok, lt in decls]
 
 
-def _agrees(lt, subject: str = "a") -> None:
-    assert local_type_to_machine(lt, subject) == oracle.reference_machine(lt)
+def _agrees(lt) -> None:
+    assert local_type_to_machine(lt) == oracle.reference_machine(lt)
 
 
 @pytest.mark.parametrize("path", sorted(FIXTURES.glob("*.kmc")), ids=lambda p: p.name)
 def test_fixture_machines_match_reference(path):
     for role, lt in _decls(path.read_text()):
-        _agrees(lt, role)
+        _agrees(lt)
 
 
 SMALL_FAMILY_MEMBERS = [
@@ -62,7 +62,7 @@ SMALL_FAMILY_MEMBERS = [
 def test_workload_family_machines_match_reference(family, args):
     case = workloads.make_case("small", family, args, 10, seed=3)
     for role, lt in _decls(case.text):
-        _agrees(lt, role)
+        _agrees(lt)
 
 
 def test_random_local_types_match_reference():
@@ -87,7 +87,7 @@ def test_shadowed_binders_match_reference():
         Branch(send("b", "again"), RecVar("t")),
     ))))
     _agrees(lt)
-    assert len(local_type_to_machine(lt, "a").states) == 2
+    assert len(local_type_to_machine(lt).states) == 2
 
 
 def test_alpha_variants_stay_distinct_states():
@@ -96,8 +96,8 @@ def test_alpha_variants_stay_distinct_states():
     (_, same), = _decls("role a: {b!x; rec t. b!y; t} or {b!z; rec t. b!y; t}")
     _agrees(renamed)
     _agrees(same)
-    assert len(local_type_to_machine(renamed, "a").states) == 3
-    assert len(local_type_to_machine(same, "a").states) == 2
+    assert len(local_type_to_machine(renamed).states) == 3
+    assert len(local_type_to_machine(same).states) == 2
 
 
 def _nested(depth: int):
@@ -123,6 +123,6 @@ def _sequence(length: int):
 ], ids=["nesting-depth-30", "sequence-10k"])
 def test_deep_types_compile_fast(lt, states):
     started = time.process_time()
-    machine = local_type_to_machine(lt, "a")
+    machine = local_type_to_machine(lt)
     assert time.process_time() - started < 1.0
     assert len(machine.states) == states

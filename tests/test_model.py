@@ -20,9 +20,7 @@ from kmcheck.model import (
     System,
     UnboundVariable,
     UnguardedRecursion,
-    find_isomorphism,
     local_type_to_machine,
-    prefix,
     receive,
     send,
     validate_system,
@@ -30,6 +28,7 @@ from kmcheck.model import (
 from kmcheck.simulator import replay, simulate
 
 from conftest import fixture_system, fixture_text
+from oracle import find_isomorphism, prefix
 
 
 def _machine(*transitions: tuple[int, Action, int]) -> Machine:
@@ -51,7 +50,7 @@ def test_spans_do_not_affect_equality():
 
 
 def test_single_action_translates_to_two_states():
-    m = local_type_to_machine(prefix(send("b", "hello"), End()), "a")
+    m = local_type_to_machine(prefix(send("b", "hello"), End()))
     assert len(m.states) == 2
     assert m.initial == 0
     assert m.transitions == ((0, send("b", "hello"), 1),)
@@ -60,7 +59,7 @@ def test_single_action_translates_to_two_states():
 
 def test_self_loop_recursion_translates_to_one_state():
     lt = RecBinder("t", prefix(send("b", "ping"), RecVar("t")))
-    m = local_type_to_machine(lt, "a")
+    m = local_type_to_machine(lt)
     assert len(m.states) == 1
     assert m.transitions == ((0, send("b", "ping"), 0),)
 
@@ -72,7 +71,7 @@ def test_identical_subterms_share_a_state():
         Branch(receive("b", "l"), tail),
         Branch(receive("b", "r"), tail),
     ))
-    m = local_type_to_machine(lt, "a")
+    m = local_type_to_machine(lt)
     assert len(m.states) == 3  # initial, shared middle, end
 
 
@@ -93,8 +92,8 @@ def test_unfolding_a_binder_once_is_isomorphic():
     ))
     folded = RecBinder("t", body)
     unfolded = subst(body, "t", folded)
-    m1 = local_type_to_machine(folded, "a")
-    m2 = local_type_to_machine(unfolded, "a")
+    m1 = local_type_to_machine(folded)
+    m2 = local_type_to_machine(unfolded)
     assert find_isomorphism(m1, m2) is not None
 
 
@@ -133,14 +132,14 @@ def test_fib_translation_exact_shape():
 
 def test_unguarded_recursion_rejected():
     with pytest.raises(UnguardedRecursion):
-        local_type_to_machine(RecBinder("t", RecVar("t")), "a")
+        local_type_to_machine(RecBinder("t", RecVar("t")))
     with pytest.raises(UnguardedRecursion):
-        local_type_to_machine(RecBinder("t", RecBinder("u", RecVar("t"))), "a")
+        local_type_to_machine(RecBinder("t", RecBinder("u", RecVar("t"))))
 
 
 def test_unbound_variable_rejected():
     with pytest.raises(UnboundVariable):
-        local_type_to_machine(prefix(send("b", "x"), RecVar("nope")), "a")
+        local_type_to_machine(prefix(send("b", "x"), RecVar("nope")))
 
 
 def test_mixed_choice_rejected():
@@ -149,7 +148,7 @@ def test_mixed_choice_rejected():
         Branch(receive("b", "y"), End()),
     ))
     with pytest.raises(MixedChoice):
-        local_type_to_machine(lt, "a")
+        local_type_to_machine(lt)
 
 
 def test_duplicate_branch_rejected():
@@ -159,7 +158,7 @@ def test_duplicate_branch_rejected():
         Branch(receive("b", "x", "str"), End()),
     ))
     with pytest.raises(DuplicateBranch):
-        local_type_to_machine(lt, "a")
+        local_type_to_machine(lt)
 
 
 def test_shadowed_binder_resolves_innermost():
@@ -168,7 +167,7 @@ def test_shadowed_binder_resolves_innermost():
         Branch(send("b", "once"), inner),
         Branch(send("b", "again"), RecVar("t")),
     )))
-    m = local_type_to_machine(outer, "a")
+    m = local_type_to_machine(outer)
     # outer state loops to itself on "again"; "once" enters the inner loop
     assert (0, send("b", "again"), 0) in m.transitions
     inner_targets = [d for s, a, d in m.transitions if a.label == "inner"]
@@ -197,13 +196,13 @@ def test_validate_missing_machine():
 
 
 def test_validate_duplicate_role():
-    m = local_type_to_machine(End(), "a")
+    m = local_type_to_machine(End())
     system = System(("a", "a"), {"a": m})
     assert "duplicate-role" in _errors(validate_system(system))
 
 
 def test_validate_bad_role_name():
-    m = local_type_to_machine(End(), "x")
+    m = local_type_to_machine(End())
     system = System(("2bad",), {"2bad": m})
     assert "bad-role-name" in _errors(validate_system(system))
 
@@ -211,7 +210,7 @@ def test_validate_bad_role_name():
 def test_validate_self_communication():
     system = System(("a", "b"), {
         "a": _machine((0, send("a", "x"), 1)),
-        "b": local_type_to_machine(End(), "b"),
+        "b": local_type_to_machine(End()),
     })
     assert "self-communication" in _errors(validate_system(system))
 
@@ -219,7 +218,7 @@ def test_validate_self_communication():
 def test_validate_unknown_peer():
     system = System(("a", "b"), {
         "a": _machine((0, send("ghost", "x"), 1)),
-        "b": local_type_to_machine(End(), "b"),
+        "b": local_type_to_machine(End()),
     })
     assert "unknown-peer" in _errors(validate_system(system))
 
@@ -227,7 +226,7 @@ def test_validate_unknown_peer():
 def test_validate_nondeterminism():
     system = System(("a", "b"), {
         "a": _machine((0, send("b", "x", "int"), 1), (0, send("b", "x", "str"), 2)),
-        "b": local_type_to_machine(End(), "b"),
+        "b": local_type_to_machine(End()),
     })
     assert "nondeterminism" in _errors(validate_system(system))
 
@@ -235,21 +234,21 @@ def test_validate_nondeterminism():
 def test_validate_mixed_state():
     system = System(("a", "b"), {
         "a": _machine((0, send("b", "x"), 1), (0, receive("b", "y"), 2)),
-        "b": local_type_to_machine(End(), "b"),
+        "b": local_type_to_machine(End()),
     })
     assert "mixed-state" in _errors(validate_system(system))
 
 
 def test_validate_unreachable_state():
     m = Machine(frozenset({0, 1, 2}), 0, ((0, send("b", "x"), 1),))
-    system = System(("a", "b"), {"a": m, "b": local_type_to_machine(End(), "b")})
+    system = System(("a", "b"), {"a": m, "b": local_type_to_machine(End())})
     assert "unreachable-state" in _errors(validate_system(system))
 
 
 def test_validate_dangling_transition_and_bad_initial():
     bad_tr = Machine(frozenset({0, 1}), 0, ((0, send("b", "x"), 7),))
     bad_init = Machine(frozenset({1}), 0, ())
-    end_b = local_type_to_machine(End(), "b")
+    end_b = local_type_to_machine(End())
     assert "dangling-transition" in _errors(
         validate_system(System(("a", "b"), {"a": bad_tr, "b": end_b})))
     assert "bad-initial" in _errors(
@@ -259,10 +258,8 @@ def test_validate_dangling_transition_and_bad_initial():
 def test_validate_non_directed_choice_is_a_lint_not_an_error():
     system = System(("a", "b", "c"), {
         "a": _machine((0, send("b", "x"), 1), (0, send("c", "y"), 1)),
-        "b": local_type_to_machine(
-            Choice((Branch(receive("a", "x"), End()),)), "b"),
-        "c": local_type_to_machine(
-            Choice((Branch(receive("a", "y"), End()),)), "c"),
+        "b": local_type_to_machine(Choice((Branch(receive("a", "x"), End()),))),
+        "c": local_type_to_machine(Choice((Branch(receive("a", "y"), End()),))),
     })
     diags = validate_system(system)
     assert _errors(diags) == set()
@@ -294,6 +291,10 @@ def test_isomorphism_rejects_mismatches():
     assert find_isomorphism(m1, m2) is None
     m3 = _machine((0, send("b", "x"), 1), (1, send("b", "x"), 2))
     assert find_isomorphism(m1, m3) is None
+    # same sizes and actions, but the second machine's `y` does not lead back
+    loop_back = _machine((0, send("b", "x"), 1), (1, receive("b", "y"), 0))
+    loop_here = _machine((0, send("b", "x"), 1), (1, receive("b", "y"), 1))
+    assert find_isomorphism(loop_back, loop_here) is None
 
 
 def test_isomorphism_found_under_relabelling():
