@@ -17,27 +17,27 @@ verdict.
 Both safety properties say "from every reachable configuration, some event
 can still happen" (CTL `AG EF`), so one pass settles all of them.  Each edge
 carries an event bitmask: one bit per role ("the role moves") and one per
-live channel ("the channel's head is consumed").  A channel is live when some
-machine has a send on it; every other channel is always empty and gets no
-bit.  Each node starts with the OR of its outgoing edges' bits, and one
-backward worklist, seeded with every node, ORs a node's bits into the source
-of each edge into it and queues that source again when its bits grew.  At
-the fixpoint each node holds the OR over everything it can reach.  A node is
-queued again only when it gains a bit, so it is popped at most once per
-event bit plus once, and each edge is read as often: O((roles + live
-channels) * edges) at worst, one or two pops per node on large safe graphs.
-Only configurations whose mask lacks some bit can witness a violation.
+channel ("the channel's head is consumed"), a channel being a pair some
+role sends on (`System.channels`).  Each node starts with the OR of its
+outgoing edges' bits, and one backward worklist, seeded with every node, ORs
+a node's bits into the source of each edge into it and queues that source
+again when its bits grew.  At the fixpoint each node holds the OR over
+everything it can reach.  A node is queued again only when it gains a bit,
+so it is popped at most once per event bit plus once, and each edge is read
+as often: O((roles + channels) * edges) at worst, one or two pops per node
+on large safe graphs.  Only configurations whose mask lacks some bit can
+witness a violation.
 
-Send coverage checks each (role, peer) pair on its own, but only where it can
-fail: at candidate nodes, where the role has a send to the peer and that
+Send coverage checks each channel on its own, but only where it can fail:
+at candidate nodes, where the sender has a send on the channel and its
 queue is full.  The explorer lists them as it meets them, per channel.
-Among them the seeds are those where the peer can pop the queue's head: only
-that receive makes room, so the seeds are met in one step.  Backwards from
-the seeds, one worklist over the edges of the other roles meets the rest;
-such an edge keeps the sender's state and the full queue, so it only ever
-meets candidates, and the walk stops once none is left unmet.  A pair
-without candidates costs nothing.  Both checks are iterative and read the
-graph's columns (`BoundedGraph`) directly: the bit fields of each
+Among them the seeds are those where the receiver can pop the queue's head:
+only that receive makes room, so the seeds are met in one step.  Backwards
+from the seeds, one worklist over the edges of the other roles meets the
+rest; such an edge keeps the sender's state and the full queue, so it only
+ever meets candidates, and the walk stops once none is left unmet.  A
+channel without candidates costs nothing.  Both checks are iterative and
+read the graph's columns (`BoundedGraph`) directly: the bit fields of each
 configuration, the edges grouped by source, and the chain of edges into
 each node, which the explorer links as it adds them.
 """
@@ -48,10 +48,9 @@ from array import array
 from dataclasses import dataclass
 
 from .model import Action, System, require_valid_system
-from .semantics import BoundedGraph, Step, build_bounded_graph
+from .semantics import DEFAULT_MAX_CONFIGS, BoundedGraph, Step, build_bounded_graph
 
 DEFAULT_MAX_BOUND = 10
-DEFAULT_MAX_CONFIGS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -141,8 +140,8 @@ def check_exhaustive(
     """
     system = graph.system
     configs, steps = graph.configs, graph.steps
-    sends: dict[int, dict[int, list[Action]]] = {}  # live channel -> state code -> sends
-    pops: dict[int, set[int]] = {}  # live channel -> receiver state code << b | head code
+    sends: dict[int, dict[int, list[Action]]] = {}  # channel -> state code -> sends
+    pops: dict[int, set[int]] = {}  # channel -> receiver state code << b | head code
     for sid, (_, code, j, message, is_send) in enumerate(graph.effects):
         if is_send:
             sends.setdefault(j, {}).setdefault(code, []).append(steps[sid].action)
@@ -151,47 +150,48 @@ def check_exhaustive(
     src, step_id, last_in, prev_in = graph.src, graph.step_id, graph.last_in, graph.prev_in
     movers = [effect[0] for effect in graph.effects]
     obligations: list[tuple[int, str, Action]] = []
-    for ri, role in enumerate(system.roles):
+    # the channels with candidates, by sender in role order, then by peer name
+    order = sorted((system.role_index[sender], peer, j)
+                   for j, (sender, peer) in enumerate(system.channels) if graph.blocked[j])
+    for ri, peer, j in order:
+        role = system.roles[ri]
         shift, mask = graph.role_fields[ri]
-        own = sorted((system.channels[ci][1], j) for j, ci in enumerate(graph.live)
-                     if system.channels[ci][0] == role and graph.blocked[j])
-        for peer, j in own:  # sends to one peer, by sender state code
-            by_code = sends[j]
-            field_shift, b = graph.queue_fields[j]
-            peer_shift, peer_mask = graph.role_fields[system.role_index[peer]]
-            head, can_pop = (1 << b) - 1, pops.get(j, ())
-            # Only a node where the queue to the peer is full can leave a
-            # send starved; a node with room meets its obligation on the
-            # spot.  The explorer lists these candidates.  Those where the
-            # peer can pop the head are met in one step, since only that
-            # receive makes room: they seed the walk.
-            candidates = graph.blocked[j]
-            work = [i for i in candidates
-                    if ((configs[i] >> peer_shift & peer_mask) << b
-                        | configs[i] >> field_shift & head) in can_pop]
-            unmet = len(candidates) - len(work)
+        by_code = sends[j]  # sends to the peer, by sender state code
+        field_shift, b = graph.queue_fields[j]
+        peer_shift, peer_mask = graph.role_fields[system.role_index[peer]]
+        head, can_pop = (1 << b) - 1, pops.get(j, ())
+        # Only a node where the queue to the peer is full can leave a send
+        # starved; a node with room meets its obligation on the spot.  The
+        # explorer lists these candidates.  Those where the peer can pop the
+        # head are met in one step, since only that receive makes room: they
+        # seed the walk.
+        candidates = graph.blocked[j]
+        work = [i for i in candidates
+                if ((configs[i] >> peer_shift & peer_mask) << b
+                    | configs[i] >> field_shift & head) in can_pop]
+        unmet = len(candidates) - len(work)
+        if not unmet:
+            continue
+        # Backwards from the seeds over the other roles' edges, until every
+        # candidate is met.  Such an edge keeps the sender's state and leaves
+        # the queue full, so every node met is a candidate.
+        met = bytearray(len(configs))
+        for v in work:
+            met[v] = 1
+        for v in work:
+            e = last_in[v]
+            while e >= 0:
+                u = src[e]
+                if not met[u] and movers[step_id[e]] != ri:
+                    met[u] = 1
+                    work.append(u)
+                    unmet -= 1
+                e = prev_in[e]
             if not unmet:
-                continue
-            # Backwards from the seeds over the other roles' edges, until
-            # every candidate is met.  Such an edge keeps the sender's state
-            # and leaves the queue full, so every node met is a candidate.
-            met = bytearray(len(configs))
-            for v in work:
-                met[v] = 1
-            for v in work:
-                e = last_in[v]
-                while e >= 0:
-                    u = src[e]
-                    if not met[u] and movers[step_id[e]] != ri:
-                        met[u] = 1
-                        work.append(u)
-                        unmet -= 1
-                    e = prev_in[e]
-                if not unmet:
-                    break
-            for i in candidates:
-                if not met[i]:
-                    obligations.extend((i, role, a) for a in by_code[configs[i] >> shift & mask])
+                break
+        for i in candidates:
+            if not met[i]:
+                obligations.extend((i, role, a) for a in by_code[configs[i] >> shift & mask])
     return tuple(obligations)
 
 
@@ -209,9 +209,8 @@ def check_safety(system: System, graph: BoundedGraph) -> tuple[Violation, ...]:
     n = len(configs)
     first = len(roles)
     # Event bits: bit r is "role r moves", and bit `first + j` is "the head
-    # of live channel j is consumed".  Every other channel stays empty, so it
-    # can neither hold nor lose a message, and has neither field nor bit.
-    full = (1 << (first + len(graph.live))) - 1
+    # of channel j is consumed".
+    full = (1 << (first + len(system.channels))) - 1
     events = [1 << ri | (0 if is_send else 1 << (first + j))
               for ri, _, j, _, is_send in graph.effects]
 
@@ -242,10 +241,8 @@ def check_safety(system: System, graph: BoundedGraph) -> tuple[Violation, ...]:
     # a state is a receive state when its first transition is a receive
     receiving = [{state for state, rows in by_state.items() if not rows[0][4]}
                  for by_state in system.step_table]
-    channels = []
-    for j, ci in enumerate(graph.live):
-        sender, receiver = system.channels[ci]
-        channels.append((first + j, j, sender, receiver, system.role_index[receiver]))
+    channels = [(first + j, j, sender, receiver, system.role_index[receiver])
+                for j, (sender, receiver) in enumerate(system.channels)]
     # Nodes are numbered in BFS order, so the first witness of a key is at
     # its smallest depth.
     best: dict[tuple, tuple[int, object]] = {}

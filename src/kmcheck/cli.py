@@ -22,7 +22,7 @@ from .checker import (
 from .dot import machine_to_dot
 from .dsl import DslError, parse_system
 from .semantics import ResourceExhausted
-from .simulator import Outcome, format_trace, simulate
+from .simulator import DEFAULT_MAX_STEPS, DEFAULT_SEED, Outcome, format_trace, simulate
 
 EX_OK = 0
 EX_USAGE = 64
@@ -60,9 +60,9 @@ def build_parser() -> _Parser:
     sim.add_argument("file", help="protocol description to run")
     sim.add_argument("--bound", type=int, default=None, metavar="K",
                      help="queue bound (default: unbounded)")
-    sim.add_argument("--seed", type=int, default=0, metavar="S",
+    sim.add_argument("--seed", type=int, default=DEFAULT_SEED, metavar="S",
                      help="PRNG seed (default %(default)s)")
-    sim.add_argument("--steps", type=int, default=10_000, metavar="N",
+    sim.add_argument("--steps", type=int, default=DEFAULT_MAX_STEPS, metavar="N",
                      help="step budget (default %(default)s)")
     sim.add_argument("--trace", metavar="FILE", help="write the executed trace here")
 
@@ -169,7 +169,7 @@ def _run_check(args) -> int:
     try:
         outcome = check_kmc_detailed(
             system, args.max_bound, max_configs,
-            collect_bounded=args.report_bounded_violations)
+            collect_bounded=args.report_bounded_violations and not args.json)
     except ResourceExhausted as exc:
         print(f"{args.file}: {exc}", file=sys.stderr)
         return EX_RESOURCE
@@ -209,7 +209,7 @@ def _run_simulate(args) -> int:
     result = simulate(system, args.bound, args.seed, args.steps)
     if args.trace:
         try:
-            pathlib.Path(args.trace).write_text(format_trace(result.trace))
+            pathlib.Path(args.trace).write_text(format_trace(result.trace), encoding="utf-8")
         except OSError as exc:
             print(f"kmcheck simulate: cannot write {args.trace}: "
                   f"{exc.strerror or exc}", file=sys.stderr)
@@ -232,7 +232,7 @@ def _run_export_dot(args) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
         for role in system.roles:
             target = out_dir / f"{role}.dot"
-            target.write_text(machine_to_dot(role, system.machines[role]))
+            target.write_text(machine_to_dot(role, system.machines[role]), encoding="utf-8")
             print(str(target))
     except OSError as exc:
         print(f"kmcheck export-dot: cannot write to {out_dir}: "

@@ -133,21 +133,13 @@ class DuplicateBranch(LocalTypeError):
     pass
 
 
-@dataclass(frozen=True)
-class TypeIssue:
-    """One fault found while checking a local type, in source walk order."""
-
-    kind: type[LocalTypeError]
-    message: str
-    span: SourceSpan | None
-
-
 def check_local_type(
     lt: LocalType,
     subject: str | None = None,
     roles: Iterable[str] | None = None,
-) -> list[TypeIssue]:
-    """Collect structural faults in `lt`, in deterministic source order.
+) -> list[LocalTypeError]:
+    """Collect structural faults in `lt`, in deterministic source order, as
+    the `LocalTypeError` each would raise.
 
     Checks: recursion variables are bound and guarded (at least one action
     between binder and use), choices do not mix sends with receives, branch
@@ -155,7 +147,7 @@ def check_local_type(
     flags self-communication and unknown peers.
     """
     known = set(roles) if roles is not None else None
-    issues: list[TypeIssue] = []
+    issues: list[LocalTypeError] = []
     # Work items, next one last: a sub-term to walk under the guardedness of
     # the variables in scope, or a branch whose checks come before its tail.
     # Each choice's branches share its `seen` and `direction`.
@@ -167,20 +159,17 @@ def check_local_type(
             a = b.action
             key = a.key
             if a.direction is not direction:
-                issues.append(TypeIssue(
-                    MixedChoice, "choice mixes send and receive branches", b.span))
+                issues.append(MixedChoice("choice mixes send and receive branches", b.span))
             if key in seen:
-                issues.append(TypeIssue(
-                    DuplicateBranch,
+                issues.append(DuplicateBranch(
                     f"duplicate branch '{a.peer}{a.direction.value}{a.label}' in choice",
                     b.span))
             seen[key] = b
             if subject is not None and a.peer == subject:
-                issues.append(TypeIssue(
-                    LocalTypeError, f"role '{subject}' communicates with itself", b.span))
+                issues.append(LocalTypeError(
+                    f"role '{subject}' communicates with itself", b.span))
             if known is not None and a.peer not in known:
-                issues.append(TypeIssue(
-                    LocalTypeError, f"unknown peer role '{a.peer}'", b.span))
+                issues.append(LocalTypeError(f"unknown peer role '{a.peer}'", b.span))
             stack.append((b.tail, after))
             continue
         t, guarded = item
@@ -188,11 +177,10 @@ def check_local_type(
             continue
         if isinstance(t, RecVar):
             if t.var not in guarded:
-                issues.append(TypeIssue(
-                    UnboundVariable, f"recursion variable '{t.var}' is not bound", t.span))
+                issues.append(UnboundVariable(
+                    f"recursion variable '{t.var}' is not bound", t.span))
             elif not guarded[t.var]:
-                issues.append(TypeIssue(
-                    UnguardedRecursion,
+                issues.append(UnguardedRecursion(
                     f"recursion variable '{t.var}' is used without an action in between",
                     t.span))
             continue
@@ -371,8 +359,7 @@ def local_type_to_machine(lt: LocalType) -> Machine:
     """
     issues = check_local_type(lt)
     if issues:
-        first = issues[0]
-        raise first.kind(first.message, first.span)
+        raise issues[0]
 
     terms = _Terms()
     keys = terms.keys
@@ -418,8 +405,14 @@ class System:
 
     @cached_property
     def channels(self) -> tuple[tuple[str, str], ...]:
-        """Ordered role pairs (sender, receiver), in role order."""
-        return tuple((p, q) for p in self.roles for q in self.roles if p != q)
+        """The (sender, receiver) pairs some role sends on, in role order:
+        one FIFO queue each.  Read off the send transitions, so a system
+        whose roles mostly keep silent has few.  Needs a valid system."""
+        index = self.role_index
+        pairs = {(index[role], index[action.peer])
+                 for role in self.roles for _, action, _ in self.machines[role].transitions
+                 if action.direction is Direction.SEND}
+        return tuple((self.roles[p], self.roles[q]) for p, q in sorted(pairs))
 
     @cached_property
     def channel_index(self) -> dict[tuple[str, str], int]:
@@ -429,13 +422,15 @@ class System:
     def step_table(self) -> tuple[dict[int, tuple[tuple, ...]], ...]:
         """Per role index, each state's transitions in declaration order as
         (step, dst, channel index, message, is_send) rows: a send appends
-        `message` to the channel, a receive pops it from its head.  One
-        `Step` per transition.  Needs a valid system (else `KeyError`)."""
+        `message` to the channel, a receive pops it from its head.  A
+        receive on a pair nobody sends on has channel index None: it is
+        never enabled.  One `Step` per transition.  Needs a valid system
+        (else `KeyError`)."""
 
         def row(role: str, action: Action, dst: int) -> tuple:
             is_send = action.direction is Direction.SEND
             channel = (role, action.peer) if is_send else (action.peer, role)
-            return (Step(role, action), dst, self.channel_index[channel],
+            return (Step(role, action), dst, self.channel_index.get(channel),
                     (action.label, action.sort), is_send)
 
         return tuple({src: tuple(row(role, action, dst) for action, dst in out)

@@ -1,21 +1,22 @@
 """Bounded asynchronous execution: configurations, steps, reachability.
 
-Roles run concurrently and exchange messages over one FIFO queue per ordered
-role pair.  A send appends to the queue towards the peer and is enabled only
-while that queue holds fewer than `k` messages; a receive pops the head of
-the queue from the peer when label and sort match.  What a transition does
-to the queues (which queue, which message, push or pop) is decided in one
-place, the system's `step_table`.  `enabled_steps` applies the rule above to
-it over full-width `Configuration`s: `apply_step`, `simulator.replay` and
+Roles run concurrently and exchange messages over FIFO queues, one per
+channel: a (sender, receiver) pair that some role sends on
+(`System.channels`).  A send appends to the queue towards the peer and is
+enabled only while that queue holds fewer than `k` messages; a receive pops
+the head of the queue from the peer when label and sort match, so a receive
+on a pair without a queue is never enabled.  What a transition does to the
+queues (which queue, which message, push or pop) is decided in one place,
+the system's `step_table`.  `enabled_steps` applies the rule above to it
+over `Configuration`s: `apply_step`, `simulator.replay` and
 `simulator.simulate` all take their steps from it.
 
 `build_bounded_graph` explores every interleaving under such a bound `k`
 breadth-first in a packed layout derived from the same table: a
 configuration is one int of bit fields, one per role (the index of its state
-among the machine's sorted states) and one per live channel (one some
-machine sends on; every other channel stays empty and has no field).  A
-queue field holds its messages' codes under a sentinel bit, the head lowest,
-so a step adds a precomputed delta to the int and allocates no container.
+among the machine's sorted states) and one per channel.  A queue field holds
+its messages' codes under a sentinel bit, the head lowest, so a step adds a
+precomputed delta to the int and allocates no container.
 One lookup per block of roles yields the transitions of all of them.  The
 explorer takes exactly the steps `enabled_steps` offers, in the same order.
 
@@ -23,8 +24,8 @@ In the same pass it records what the checks read, in `array('i')` columns:
 each edge's source and step id, grouped by source; a chain through the
 edges into each node, for the backward walks; the nodes where a send found
 its queue full, per channel; and the edge that discovered each node.
-`BoundedGraph.nodes`, `.edges` and `.parent` show the graph in the
-full-width layout.
+`BoundedGraph.nodes`, `.edges` and `.parent` show the graph as
+`Configuration`s and `Step`s.
 """
 from __future__ import annotations
 
@@ -36,13 +37,16 @@ from functools import cached_property
 
 from .model import Message, Step, System
 
+DEFAULT_MAX_CONFIGS = 1_000_000  # the cap on configurations kept per bound
+
 
 @dataclass(frozen=True)
 class Configuration:
-    """A global snapshot: one machine state per role plus all queue contents.
+    """A global snapshot: one machine state per role plus each channel's queue.
 
     Both tuples follow the system's canonical order (`System.roles`,
-    `System.channels`), so structural equality is configuration equality.
+    `System.channels`, the pairs some role sends on), so structural equality
+    is configuration equality.
     """
 
     locals: tuple[int, ...]
@@ -82,6 +86,8 @@ def enabled_steps(
     locals_, buffers = cfg.locals, cfg.buffers
     for ri, by_state in enumerate(system.step_table):
         for step, dst, ci, message, is_send in by_state.get(locals_[ri], ()):
+            if ci is None:  # a receive on a pair nobody sends on
+                continue
             queue = buffers[ci]
             if is_send and (bound is None or len(queue) < bound):
                 queue += (message,)
@@ -149,17 +155,15 @@ class BoundedGraph:
     `configs[i]` is node `i` as one int of bit fields.  Role `ri` has the
     field `cfg >> shift & mask`, `(shift, mask) = role_fields[ri]`, holding
     its *state code*: the index of its state in `states[ri]` (the machine's
-    states, sorted), so any int state id packs.  Live channel `j` (one some
-    machine sends on; its channel index is `live[j]`) has the `k * b + 1`
-    bits from bit `shift` up, `(shift, b) = queue_fields[j]`: a sentinel 1
-    on top of the queued message codes, `b` bits each, the head lowest.  So
-    the empty queue is 1 and a full one has bit `k * b` set.  `messages[j]`
-    gives the (label, sort) of each of the channel's codes.  Every other
-    channel stays empty and has no field.  `state` and `queue` decode one
-    field.
+    states, sorted), so any int state id packs.  Channel `j`
+    (`system.channels[j]`) has the `k * b + 1` bits from bit `shift` up,
+    `(shift, b) = queue_fields[j]`: a sentinel 1 on top of the queued message
+    codes, `b` bits each, the head lowest.  So the empty queue is 1 and a
+    full one has bit `k * b` set.  `messages[j]` gives the (label, sort) of
+    each of the channel's codes.  `state` and `queue` decode one field.
 
     `steps` maps a step id to its `Step` and `effects` to what it does, as
-    (role index, source state code, live channel, message code, is_send).
+    (role index, source state code, channel, message code, is_send).
     Edge `e` leaves `src[e]` by step `step_id[e]`.
 
     Nodes are numbered 0.. in breadth-first discovery order (0 is the initial
@@ -171,14 +175,12 @@ class BoundedGraph:
     The edges into each node form a chain, newest first: `last_in[v]` is
     the last edge into `v` and `prev_in[e]` the edge into the same target
     before `e` (-1 ends both).  `blocked[j]` lists, in node order, the nodes
-    where the sender of live channel `j` has a send on it and the queue is
-    full.
+    where the sender of channel `j` has a send on it and the queue is full.
 
     `dst` (each edge's target) is built from the chains on first access and
     then kept.  `nodes`, `edges` and `parent` are read-only views in the
-    full-width layout of `enabled_steps`: a `Configuration`, a (src, Step,
-    dst) triple and a (src, Step) pair or None, each built anew on every
-    access.
+    layout of `enabled_steps`: a `Configuration`, a (src, Step, dst) triple
+    and a (src, Step) pair or None, each built anew on every access.
     """
 
     system: System
@@ -186,7 +188,6 @@ class BoundedGraph:
     configs: list[int]
     states: tuple[tuple[int, ...], ...]
     role_fields: tuple[tuple[int, int], ...]
-    live: tuple[int, ...]
     queue_fields: tuple[tuple[int, int], ...]
     messages: tuple[tuple[Message, ...], ...]
     steps: tuple[Step, ...]
@@ -225,7 +226,7 @@ class BoundedGraph:
         return self.states[ri][cfg >> shift & mask]
 
     def queue(self, cfg: int, j: int) -> tuple[Message, ...]:
-        """The messages on live channel `j` in packed configuration `cfg`,
+        """The messages on channel `j` in packed configuration `cfg`,
         head first."""
         (shift, b), by_code = self.queue_fields[j], self.messages[j]
         q, head = cfg >> shift & ((2 << self.k * b) - 1), (1 << b) - 1
@@ -237,11 +238,8 @@ class BoundedGraph:
 
     def _configuration(self, i: int) -> Configuration:
         cfg = self.configs[i]
-        queues = [()] * len(self.system.channels)
-        for j, ci in enumerate(self.live):
-            queues[ci] = self.queue(cfg, j)
         return Configuration(tuple(self.state(cfg, ri) for ri in range(len(self.states))),
-                             tuple(queues))
+                             tuple(self.queue(cfg, j) for j in range(len(self.queue_fields))))
 
     def _edge(self, e: int) -> tuple[int, Step, int]:
         return (self.src[e], self.steps[self.step_id[e]], self.dst[e])
@@ -261,7 +259,7 @@ def _pack(system: System, k: int):
     `system.step_table`.
 
     The groups of role `ri` in the state of code `c` are `groups[ri][c]`:
-    each maximal run of the state's transitions on one live channel is one
+    each maximal run of the state's transitions on one channel is one
     (is_send, shift, field mask, limit, b, rows, note) group; shift and
     field mask locate the channel's field.  A send group fires its rows,
     (role delta, push, step id), in declaration order while the field is
@@ -272,19 +270,16 @@ def _pack(system: System, k: int):
     A receive group's rows map a head code (the field's bits under `limit`)
     to the one row that pops it, (role delta, 0, step id); a valid state
     receives each message from a peer at most once, so one lookup keeps
-    declaration order.  A receive on a channel nobody sends on never fires
-    and gets no row.
+    declaration order.  A receive on a pair nobody sends on (channel None)
+    never fires and gets no row.
     """
     table = system.step_table
-    live = tuple(sorted({ci for by_state in table for rows in by_state.values()
-                         for _, _, ci, _, is_send in rows if is_send}))
-    live_of = {ci: j for j, ci in enumerate(live)}
-    codes: list[dict[Message, int]] = [{} for _ in live]
+    codes: list[dict[Message, int]] = [{} for _ in system.channels]
     for by_state in table:
         for rows in by_state.values():
-            for _, _, ci, message, _ in rows:
-                if ci in live_of:
-                    codes[live_of[ci]].setdefault(message, len(codes[live_of[ci]]))
+            for _, _, j, message, _ in rows:
+                if j is not None:
+                    codes[j].setdefault(message, len(codes[j]))
     states = tuple(tuple(sorted(system.machines[r].states)) for r in system.roles)
     role_fields, queue_fields, shift = [], [], 0
     for by_code in states:
@@ -295,9 +290,9 @@ def _pack(system: System, k: int):
         b = max(1, (len(by_message) - 1).bit_length())
         queue_fields.append((shift, b))
         shift += k * b + 1
-    blocked = tuple(array("i") for _ in live)
+    blocked = tuple(array("i") for _ in codes)
 
-    # per live channel: the first five group items of a receive and of a
+    # per channel: the first five group items of a receive and of a
     # send run, and what a push adds to a code to move the sentinel up
     heads = [((False, shift, (2 << k * b) - 1, (1 << b) - 1, b),
               (True, shift, (2 << k * b) - 1, 1 << k * b, b)) for shift, b in queue_fields]
@@ -312,8 +307,7 @@ def _pack(system: System, k: int):
         for state, rows in by_state.items():
             src = code_of[state]
             here, noted, last = [], set(), None
-            for step, dst, ci, message, is_send in rows:
-                j = live_of.get(ci)
+            for step, dst, j, message, is_send in rows:
                 if j is None:
                     continue
                 code = codes[j][message]
@@ -333,7 +327,7 @@ def _pack(system: System, k: int):
                     run[code] = ((delta, 0, sid),)
             by_code[src] = tuple(here)
         groups.append(by_code)
-    layout = (states, tuple(role_fields), live, tuple(queue_fields),
+    layout = (states, tuple(role_fields), tuple(queue_fields),
               tuple(tuple(by_message) for by_message in codes), tuple(steps), tuple(effects),
               blocked)
     return layout, tuple(groups)
@@ -371,7 +365,7 @@ def _blocks(role_fields, groups) -> list[tuple[int, int, Sequence]]:
 
 
 def build_bounded_graph(
-    system: System, k: int, max_configs: int = 1_000_000,
+    system: System, k: int, max_configs: int = DEFAULT_MAX_CONFIGS,
 ) -> BoundedGraph:
     """Breadth-first exploration of every configuration reachable under `k`.
 
@@ -384,7 +378,7 @@ def build_bounded_graph(
     if k < 1:
         raise ValueError("bound must be at least 1")
     layout, groups = _pack(system, k)
-    states, role_fields, _, queue_fields = layout[:4]
+    states, role_fields, queue_fields = layout[:3]
     init = sum(by_code.index(system.machines[r].initial) << shift
                for r, by_code, (shift, _) in zip(system.roles, states, role_fields))
     init += sum(1 << shift for shift, _ in queue_fields)

@@ -15,6 +15,9 @@ from enum import Enum
 from .model import Direction, System, require_valid_system
 from .semantics import Configuration, Step, apply_step, enabled_steps, initial_configuration
 
+DEFAULT_SEED = 0
+DEFAULT_MAX_STEPS = 10_000
+
 
 class Outcome(Enum):
     TERMINATED = "terminated"
@@ -41,8 +44,8 @@ def is_terminated(system: System, cfg: Configuration) -> bool:
 def simulate(
     system: System,
     bound: int | None,
-    seed: int = 0,
-    max_steps: int = 10_000,
+    seed: int = DEFAULT_SEED,
+    max_steps: int = DEFAULT_MAX_STEPS,
 ) -> RunResult:
     """One random run under queue bound `bound` (None = unbounded queues).
 
@@ -110,7 +113,7 @@ def replay(
             if is_send:
                 why = f"queue {role}->{a.peer} is full, cannot send '{a.label}'"
             else:
-                buf = cfg.buffers[ci]
+                buf = () if ci is None else cfg.buffers[ci]
                 head = f"'{buf[0][0]}'" if buf else "nothing"
                 why = f"{role} expects '{a.label}' from {a.peer} but {head} is queued"
             raise ReplayError(i, "not_enabled", why)

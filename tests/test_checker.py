@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -169,6 +170,22 @@ def test_checks_read_the_graphs_own_system():
         assert check_exhaustive(foreign, graph) == check_exhaustive(graph.system, graph)
         assert check_safety(foreign, graph) == check_safety(graph.system, graph)
     assert check_exhaustive(foreign, graph) != ()  # flood starves a send at k=1
+
+
+def test_silent_roles_cost_no_channels():
+    # 2,002 roles of which only one pair talks: one queue, not 2002 * 2001
+    text = "role a: b!x<unit>; end\nrole b: a?x<unit>; end\n" + "".join(
+        f"role r{i:04}: end\n" for i in range(2000))
+    tracemalloc.start()
+    try:
+        system = parse_system(text)
+        verdict = check_kmc(system, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert system.channels == (("a", "b"),)
+    assert isinstance(verdict, Safe) and verdict.k == 1
+    assert peak < 20 * 2**20, peak
 
 
 def test_orphan_message_detected():

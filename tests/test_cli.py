@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import os
+import pathlib
 import re
 import subprocess
 import sys
@@ -9,6 +11,7 @@ import jsonschema
 import pytest
 
 from kmcheck import cli
+from kmcheck.checker import check_kmc_detailed
 from kmcheck.cli import main
 from kmcheck.simulator import parse_trace, replay
 
@@ -19,6 +22,7 @@ FIB = str(FIXTURES / "fib.kmc")
 PROGRESS_BUG = str(FIXTURES / "fib_progress_bug.kmc")
 RECEPTION_BUG = str(FIXTURES / "fib_reception_bug.kmc")
 FLOOD = str(FIXTURES / "flood.kmc")
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 REPORT_SCHEMA = {
     "type": "object",
@@ -235,6 +239,21 @@ def test_report_bounded_violations_flag(capsys):
     assert "rot unread" in verbose
 
 
+def test_json_reports_do_not_collect_bounded_findings(capsys, monkeypatch):
+    # schema 1 has no field for them, so `--json` does not ask for them
+    seen = []
+
+    def spy(*args, collect_bounded):
+        seen.append(collect_bounded)
+        return check_kmc_detailed(*args, collect_bounded=collect_bounded)
+    monkeypatch.setattr(cli, "check_kmc_detailed", spy)
+    flags = ["check", FLOOD, "--max-bound", "2", "--report-bounded-violations"]
+    assert main(flags + ["--json"]) == 2
+    assert main(flags) == 2
+    capsys.readouterr()
+    assert seen == [False, True]
+
+
 def test_simulate_outcomes_and_exit_codes(capsys):
     assert main(["simulate", str(FIXTURES / "handshake.kmc"), "--bound", "1"]) == 0
     out, err = capsys.readouterr()
@@ -289,6 +308,23 @@ def test_export_dot_io_error(tmp_path, capsys):
     blocker.write_text("")
     assert main(["export-dot", FIB, "-o", str(blocker / "sub")]) == 74
     assert "cannot write" in capsys.readouterr().err
+
+
+def test_written_files_are_utf8_whatever_the_locale(tmp_path):
+    spec = tmp_path / "cafe.kmc"
+    spec.write_text("role a: b!café<unit>; end\nrole b: a?café<unit>; end\n",
+                    encoding="utf-8")
+    env = {**os.environ, "LC_ALL": "C", "PYTHONPATH": str(SRC)}
+    for name in ("PYTHONUTF8", "PYTHONIOENCODING"):
+        env.pop(name, None)
+    trace = tmp_path / "run.trace"
+    for args in (["simulate", str(spec), "--trace", str(trace)],
+                 ["export-dot", str(spec), "-o", str(tmp_path)]):
+        proc = subprocess.run([sys.executable, "-X", "utf8=0", "-m", "kmcheck.cli", *args],
+                              capture_output=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+    assert trace.read_text(encoding="utf-8") == "a\tb\t!\tcafé\tunit\nb\ta\t?\tcafé\tunit\n"
+    assert "café" in (tmp_path / "a.dot").read_text(encoding="utf-8")
 
 
 def test_installed_entry_point_runs():

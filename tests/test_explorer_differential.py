@@ -49,7 +49,7 @@ def _agrees(system, k: int) -> int:
     assert chains == into
     # the blocked sends: per channel with a send, the nodes where its queue
     # is full while its sender's state has a send on it
-    assert {system.channels[ci]: list(graph.blocked[j]) for j, ci in enumerate(graph.live)} \
+    assert dict(zip(system.channels, map(list, graph.blocked))) \
         == _blocked_sends(system, k, ref.nodes)
     return sum(map(len, graph.blocked))
 

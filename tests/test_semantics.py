@@ -20,7 +20,7 @@ def test_initial_configuration_shape():
     system = fixture_system("fib.kmc")
     cfg = initial_configuration(system)
     assert cfg.locals == (0, 0, 0)
-    assert len(cfg.buffers) == 6  # one queue per ordered role pair
+    assert len(cfg.buffers) == 4  # one queue per pair some role sends on
     assert all(buf == () for buf in cfg.buffers)
 
 

@@ -141,6 +141,18 @@ def test_replay_rejects_receive_before_send():
     assert str(info.value) == "step 8: u expects 'result' from m but 'wip' is queued"
 
 
+def test_replay_rejects_receive_on_a_pair_nobody_sends_on():
+    system = System(("a", "b"), {
+        "a": Machine(frozenset({0, 1}), 0, ((0, receive("b", "x"), 1),)),
+        "b": Machine(frozenset({0}), 0, ())})
+    assert system.channels == ()  # no queue for the pair
+    with pytest.raises(ReplayError) as info:
+        replay(system, (Step("a", receive("b", "x")),), 1)
+    assert info.value.index == 0
+    assert info.value.reason == "not_enabled"
+    assert str(info.value) == "step 0: a expects 'x' from b but nothing is queued"
+
+
 def test_replay_rejects_unknown_role():
     system = fixture_system("handshake.kmc")
     with pytest.raises(ReplayError) as info:
