@@ -47,7 +47,7 @@ import time
 from array import array
 from dataclasses import dataclass
 
-from .model import Action, System, require_valid_system
+from .model import Action, System
 from .semantics import DEFAULT_MAX_CONFIGS, BoundedGraph, Step, build_bounded_graph
 
 DEFAULT_MAX_BOUND = 10
@@ -293,7 +293,6 @@ def check_kmc_detailed(
     """
     if max_bound < 1:
         raise ValueError("max_bound must be at least 1")
-    require_valid_system(system)
     started = time.perf_counter()
     bounds: list[int] = []
     hints: list[tuple[int, Violation]] = []

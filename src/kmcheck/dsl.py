@@ -9,8 +9,10 @@ are reserved words)::
     atom     = IDENT ( "!" | "?" ) IDENT [ "<" IDENT ">" ] ";" ltype ;
     branches = "{" atom "}" { "or" "{" atom "}" } ;
 
-A lone action is written bare (``b!hello<unit>; end``); braces are reserved
-for genuine choices between two or more branches.  An omitted payload sort
+An IDENT is a letter followed by letters, digits and ``_``, any Unicode
+letters included, but a role name must be ``[A-Za-z][A-Za-z0-9_]*``.  A lone
+action is written bare (``b!hello<unit>; end``); braces are reserved for
+genuine choices between two or more branches.  An omitted payload sort
 defaults to ``unit``.
 """
 from __future__ import annotations

@@ -354,8 +354,8 @@ def local_type_to_machine(lt: LocalType) -> Machine:
     the initial state is 0 and numbering is canonical.
 
     Raises UnguardedRecursion, UnboundVariable, MixedChoice or
-    DuplicateBranch on an ill-formed input.  Peers are not checked here:
-    `parse_system` and `validate_system` do that against the system.
+    DuplicateBranch on an ill-formed input.  A local type does not know the
+    roles, so `parse_system` and `validate_system` check its peers.
     """
     issues = check_local_type(lt)
     if issues:
@@ -407,7 +407,14 @@ class System:
     def channels(self) -> tuple[tuple[str, str], ...]:
         """The (sender, receiver) pairs some role sends on, in role order:
         one FIFO queue each.  Read off the send transitions, so a system
-        whose roles mostly keep silent has few.  Needs a valid system."""
+        whose roles mostly keep silent has few.
+
+        Every run of a system reads this first, so it is the validity gate:
+        it raises `ValueError("invalid system: …")` listing the errors that
+        `validate_system` reports; lints pass."""
+        errors = [str(d) for d in self._diagnostics if d.severity is Severity.ERROR]
+        if errors:
+            raise ValueError("invalid system: " + "; ".join(errors))
         index = self.role_index
         pairs = {(index[role], index[action.peer])
                  for role in self.roles for _, action, _ in self.machines[role].transitions
@@ -424,13 +431,13 @@ class System:
         (step, dst, channel index, message, is_send) rows: a send appends
         `message` to the channel, a receive pops it from its head.  A
         receive on a pair nobody sends on has channel index None: it is
-        never enabled.  One `Step` per transition.  Needs a valid system
-        (else `KeyError`)."""
+        never enabled.  One `Step` per transition."""
+        channel_index = self.channel_index  # the gate, before any machine is read
 
         def row(role: str, action: Action, dst: int) -> tuple:
             is_send = action.direction is Direction.SEND
             channel = (role, action.peer) if is_send else (action.peer, role)
-            return (Step(role, action), dst, self.channel_index.get(channel),
+            return (Step(role, action), dst, channel_index.get(channel),
                     (action.label, action.sort), is_send)
 
         return tuple({src: tuple(row(role, action, dst) for action, dst in out)
@@ -550,10 +557,3 @@ def _diagnose(system: System) -> list[Diagnostic]:
 def has_errors(diags: Iterable[Diagnostic]) -> bool:
     return any(d.severity is Severity.ERROR for d in diags)
 
-
-def require_valid_system(system: System) -> None:
-    """Raise `ValueError("invalid system: …")` listing the errors that
-    `validate_system` reports for `system`; lints pass."""
-    errors = [str(d) for d in validate_system(system) if d.severity is Severity.ERROR]
-    if errors:
-        raise ValueError("invalid system: " + "; ".join(errors))

@@ -66,10 +66,8 @@ class ResourceExhausted(RuntimeError):
 
 
 def initial_configuration(system: System) -> Configuration:
-    return Configuration(
-        tuple(system.machines[r].initial for r in system.roles),
-        tuple(() for _ in system.channels),
-    )
+    queues = tuple(() for _ in system.channels)  # the validity gate comes first
+    return Configuration(tuple(system.machines[r].initial for r in system.roles), queues)
 
 
 def enabled_steps(
@@ -79,8 +77,7 @@ def enabled_steps(
 
     Deterministically ordered: roles in system order, then each role's
     transitions in declaration order.  `bound` of None means queues are
-    unbounded (sends are always enabled).  `system` must be valid
-    (`validate_system` reports no errors).
+    unbounded (sends are always enabled).
     """
     out: list[tuple[Step, Configuration]] = []
     locals_, buffers = cfg.locals, cfg.buffers
@@ -107,8 +104,7 @@ def apply_step(
     system: System, cfg: Configuration, step: Step, bound: int | None,
 ) -> Configuration | None:
     """Successor of `cfg` after `step`, or None when `enabled_steps` does not
-    offer the step (unknown role, no such transition, or not enabled).
-    `system` must be valid (`validate_system` reports no errors)."""
+    offer the step (unknown role, no such transition, or not enabled)."""
     for enabled, nxt in enabled_steps(system, cfg, bound):
         if enabled == step:
             return nxt
@@ -369,14 +365,14 @@ def build_bounded_graph(
 ) -> BoundedGraph:
     """Breadth-first exploration of every configuration reachable under `k`.
 
-    Takes the same steps as `enabled_steps`, in the same order.  `system`
-    must be valid (`validate_system` reports no errors): it is not checked
-    here, since callers explore one system under several bounds;
-    `check_kmc_detailed` checks it once.  Raises `ResourceExhausted` once
-    more than `max_configs` distinct configurations would have to be kept.
+    Takes the same steps as `enabled_steps`, in the same order.  Raises
+    `ResourceExhausted` once more than `max_configs` distinct
+    configurations would have to be kept.
     """
     if k < 1:
         raise ValueError("bound must be at least 1")
+    if max_configs < 1:
+        raise ValueError("max_configs must be at least 1")
     layout, groups = _pack(system, k)
     states, role_fields, queue_fields = layout[:3]
     init = sum(by_code.index(system.machines[r].initial) << shift

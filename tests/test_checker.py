@@ -19,8 +19,15 @@ from kmcheck.checker import (
 )
 from kmcheck.dsl import parse_system
 from kmcheck.model import Action, Direction, Machine, System, receive, send
-from kmcheck.semantics import build_bounded_graph
-from kmcheck.simulator import replay
+from kmcheck.semantics import (
+    Configuration,
+    Step,
+    apply_step,
+    build_bounded_graph,
+    enabled_steps,
+    initial_configuration,
+)
+from kmcheck.simulator import is_terminated, replay, simulate
 
 from conftest import FIXTURES, fixture_system
 from generators import random_system
@@ -98,13 +105,15 @@ def _machine(*transitions, states=None):
 HELLO_RECEIVER = _machine((0, receive("a", "hello"), 1))
 
 
-@pytest.mark.parametrize("machines, complaint", [
+INVALID_SYSTEMS = pytest.mark.parametrize("machines, complaint", [
     ({"a": _machine((0, send("z", "hello"), 1)), "b": HELLO_RECEIVER},
      "unknown role 'z'"),
     ({"a": _machine((0, send("a", "hello"), 1)), "b": HELLO_RECEIVER},
      "communicates with 'a' itself"),
     ({"a": _machine((0, send("b", "hello"), 1))},
      "role 'b' has no machine"),
+    ({"b": HELLO_RECEIVER},
+     "role 'a' has no machine"),
     ({"a": _machine((0, send("b", "hello"), 1), (0, send("b", "hello"), 2)),
       "b": HELLO_RECEIVER},
      "sharing an action key"),
@@ -113,13 +122,40 @@ HELLO_RECEIVER = _machine((0, receive("a", "hello"), 1))
     ({"a": _machine((0, send("b", "hello"), 1), (0, receive("b", "bye"), 1)),
       "b": HELLO_RECEIVER},
      "mixes send and receive"),
-], ids=["unknown-peer", "self-communication", "missing-machine",
+], ids=["unknown-peer", "self-communication", "missing-machine", "missing-first-machine",
         "nondeterminism", "dangling-transition", "mixed-state"])
+
+
+@INVALID_SYSTEMS
 def test_hand_built_invalid_system_is_rejected(machines, complaint):
     system = System(("a", "b"), machines)
     with pytest.raises(ValueError, match="^invalid system: ") as info:
         check_kmc(system)
     assert complaint in str(info.value)
+
+
+_CFG = Configuration((0, 0), ((),))
+_STEP = Step("a", send("b", "hello"))
+
+
+@pytest.mark.parametrize("run", [
+    lambda system: build_bounded_graph(system, 1),
+    initial_configuration,
+    lambda system: enabled_steps(system, _CFG, 1),
+    lambda system: apply_step(system, _CFG, _STEP, 1),
+    lambda system: simulate(system, 1),
+    lambda system: replay(system, (), 1),
+    lambda system: is_terminated(system, _CFG),
+], ids=["build_bounded_graph", "initial_configuration", "enabled_steps", "apply_step",
+        "simulate", "replay", "is_terminated"])
+@INVALID_SYSTEMS
+def test_every_entry_point_rejects_a_hand_built_invalid_system(run, machines, complaint):
+    # `check_kmc` is covered above
+    system = System(("a", "b"), machines)
+    for _ in range(2):  # a failed gate is not cached as passed
+        with pytest.raises(ValueError, match="^invalid system: ") as info:
+            run(system)
+        assert complaint in str(info.value)
 
 
 def test_progress_bug_violations_match_reference(golden):

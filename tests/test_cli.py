@@ -4,6 +4,7 @@ import json
 import os
 import pathlib
 import re
+import shlex
 import subprocess
 import sys
 
@@ -95,6 +96,22 @@ def test_check_verdict_exit_codes(capsys):
     assert "safe at k=1" in out
     assert "unsafe at k=1" in out
     assert "inconclusive up to k=3" in out
+
+
+def _readme_check_examples() -> list:
+    """Each `$ kmcheck check ...` block in README.md, as (command, output)."""
+    readme = (SRC.parent / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```\n\$ (kmcheck check [^\n]*)\n(.*?)^```$", readme, re.M | re.S)
+    assert len(blocks) >= 2  # the fib and orphan examples, at least
+    return [pytest.param(command, shown, id=command) for command, shown in blocks]
+
+
+@pytest.mark.parametrize("command, shown", _readme_check_examples())
+def test_readme_check_examples_match_the_cli(command, shown, capsys, monkeypatch):
+    monkeypatch.chdir(SRC.parent)  # the examples name files from the repository root
+    main(shlex.split(command)[1:])
+    out = capsys.readouterr().out
+    assert re.sub(r"\b\d+ ms$", "0 ms", out, flags=re.M) == shown
 
 
 def test_check_unreadable_file(capsys):

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from kmcheck.dsl import DslError, ParseError, ValidationError, parse_system
+from kmcheck.dsl import DslError, ParseError, SourceSpan, ValidationError, parse_system
 from kmcheck.model import Direction, Machine, System, receive, send
 
 from conftest import FIXTURES, fixture_text
@@ -123,6 +123,16 @@ def test_empty_input_rejected():
 def test_keywords_cannot_name_roles():
     errs = _errors_of("role rec: end")
     assert errs  # 'rec' is a keyword, so the declaration cannot parse
+
+
+def test_only_role_names_are_held_to_ascii():
+    # labels, sorts and recursion variables are any word that starts with a letter
+    system = parse_system("role a: rec τ. b!café<naïve>; τ\nrole b: rec t. a?café<naïve>; t")
+    ((_, action, _),) = system.machines["a"].transitions
+    assert (action.label, action.sort) == ("café", "naïve")
+    # a role name is [A-Za-z][A-Za-z0-9_]*
+    (error,) = _errors_of("role é: end")
+    assert error == ValidationError(SourceSpan(1, 6), "invalid role name 'é'")
 
 
 def test_canonical_render_of_handshake():

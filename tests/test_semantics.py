@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 
+from kmcheck.checker import check_kmc_detailed
 from kmcheck.dsl import parse_system
 from kmcheck.model import Direction
 from kmcheck.semantics import (
@@ -117,6 +118,17 @@ def test_resource_cap_raises_with_count():
 def test_bound_must_be_positive():
     with pytest.raises(ValueError):
         build_bounded_graph(fixture_system("fib.kmc"), 0)
+
+
+@pytest.mark.parametrize("cap", [0, -3])
+def test_configuration_cap_must_be_positive(cap):
+    # the initial configuration alone is one kept configuration
+    system = parse_system("role a: end\nrole b: end")
+    with pytest.raises(ValueError, match="^max_configs must be at least 1$"):
+        build_bounded_graph(system, 1, max_configs=cap)
+    with pytest.raises(ValueError, match="^max_configs must be at least 1$"):
+        check_kmc_detailed(system, max_configs=cap)
+    assert len(build_bounded_graph(system, 1, max_configs=1).configs) == 1
 
 
 def test_apply_step_rejects_disabled_steps():
