@@ -18,10 +18,12 @@ defaults to ``unit``.
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import NamedTuple
 
 from .model import (
+    DEFAULT_SORT,
     Action,
     Branch,
     Choice,
@@ -42,8 +44,7 @@ from .model import (
 KEYWORDS = ("role", "rec", "end", "or")
 
 
-@dataclass(frozen=True)
-class SourceSpan:
+class SourceSpan(NamedTuple):
     """1-based position of a source fragment on a single line."""
 
     line: int
@@ -72,60 +73,140 @@ class DslError(ValueError):
             f"{e.span.line}:{e.span.column}: {e.message}" for e in self.errors))
 
 
-class _Token(NamedTuple):
-    kind: str  # "ident", a keyword, one of the punctuation marks, or "eof"
-    text: str
-    line: int
-    column: int
-
-    @property
-    def span(self) -> SourceSpan:
-        return SourceSpan(self.line, self.column, max(1, len(self.text)))
-
-
-# One lexeme per match, told apart by `lastindex`; blanks (' ', '\t',
-# '\r') match nothing and are skipped.  A word starts with a letter
+# One lexeme per match, told apart by `lastindex`; blanks (' ', '\t', '\r')
+# and newlines match nothing and are skipped.  A word starts with a letter
 # (`[^\W\d_]` also admits the odd numeral that is no letter, which `_lex`
 # rejects) and continues with letters, digits or '_', as `str.isalnum` has
 # them.  A comment stops before its newline.
-_LEXEME = re.compile(r"(\n)|(//[^\n]*)|([^\W\d_]\w*)|([!?:;.<>{}])|([^ \t\r])")
-_NEWLINE, _COMMENT, _WORD, _MARK = 1, 2, 3, 4
+_WORD_RE = r"[^\W\d_]\w*"
+_TOKEN_RE = rf"(//[^\n]*)|({_WORD_RE})|([!?:;.<>{{}}])|([^ \t\r\n])"
+_TOKEN = re.compile(_TOKEN_RE)
+_COMMENT, _WORD, _MARK = 1, 2, 3
+# The first alternative reads a whole action `peer!label<sort>;` with only
+# blanks between its parts as one lexeme (groups 1-5); its `lastindex` is
+# that of the label or of the '>'.  The token rules follow, shifted by 5.
+_BLANKS = r"[ \t\r]*"
+_LEXEME = re.compile(
+    rf"({_WORD_RE}){_BLANKS}([!?]){_BLANKS}({_WORD_RE})"
+    rf"(?:{_BLANKS}<{_BLANKS}({_WORD_RE}){_BLANKS}(>))?{_BLANKS};"
+    rf"|{_TOKEN_RE}")
+_ACTION_GROUPS = 5
+# An action lexeme stands only where the grammar expects a local type or a
+# branch, which is right after one of these tokens (an action ends in ';'):
+# there the parser reads it exactly as it reads the tokens it stands for.
+# Anywhere else, and for an action with a keyword or with a word that starts
+# with no letter, its text is read again by the token rules alone.
+_BEFORE_ACTION = frozenset((":", ".", ";", "{", "action"))
+_RESERVED = frozenset(KEYWORDS)
+_DIRECTION = {"!": Direction.SEND, "?": Direction.RECEIVE}
 
 
-def _lex(text: str) -> tuple[list[_Token], list[ParseError]]:
-    tokens: list[_Token] = []
-    errors: list[ParseError] = []
-    line, line_start = 1, 0  # offset of the current line's first character
-    comment_col = None  # where a comment took the rest of the current line
-    search = _LEXEME.search
-    m = search(text)
-    while m is not None:
-        group, start, lexeme = m.lastindex, m.start(), m.group()
-        if group == _WORD and not lexeme[0].isalpha():
-            group, lexeme = None, lexeme[0]
-        col = start - line_start + 1
-        if group == _NEWLINE:
-            line, line_start, comment_col = line + 1, start + 1, None
-        elif group == _COMMENT:
-            comment_col = col
-        elif group == _WORD:
-            tokens.append(_Token(lexeme if lexeme in KEYWORDS else "ident", lexeme, line, col))
-        elif group == _MARK:
-            tokens.append(_Token(lexeme, lexeme, line, col))
+class _Tokens:
+    """The lexemes of one text as parallel columns, the last one "eof".
+
+    `kinds[i]` is "ident", a keyword, a punctuation mark, "action" or "eof";
+    `texts[i]` is the lexeme, or for an action the pair (its `Action`, the
+    offset just past its label or '>'); `offsets[i]` is where it starts.
+    Line and column are worked out from an offset only where a `SourceSpan`
+    is built.
+    """
+
+    __slots__ = ("kinds", "texts", "offsets", "line_starts")
+
+    def __init__(self, kinds: list[str], texts: list, offsets: list[int],
+                 line_starts: list[int]):
+        self.kinds = kinds
+        self.texts = texts
+        self.offsets = offsets
+        self.line_starts = line_starts
+
+    def locate(self, offset: int) -> tuple[int, int]:
+        """1-based (line, column) of the character at `offset`."""
+        line = bisect_right(self.line_starts, offset)
+        return line, offset - self.line_starts[line - 1] + 1
+
+    def span(self, i: int) -> SourceSpan:
+        """Span of token `i`, which is no action."""
+        return SourceSpan(*self.locate(self.offsets[i]), max(1, len(self.texts[i])))
+
+    def span_of(self, first: int, last: int) -> SourceSpan:
+        """Span from token `first` through token `last` when they share a
+        line, else `first`'s."""
+        start, last_start = self.offsets[first], self.offsets[last]
+        line, column = self.locate(start)
+        if bisect_right(self.line_starts, last_start) != line:
+            return self.span(first)
+        return SourceSpan(line, column, last_start + len(self.texts[last]) - start)
+
+
+def _lex(text: str) -> tuple[_Tokens, list[ParseError]]:
+    kinds: list[str] = []
+    texts: list = []
+    offsets: list[int] = []
+    strays: list[tuple[int, str]] = []  # (offset, character) of each lexical error
+    eof = len(text)
+    # the matches still to read, innermost last: the whole text, and a
+    # stretch of it that the token rules read again
+    scans = [(_LEXEME.finditer(text), _ACTION_GROUPS)]
+    while scans:
+        matches, shift = scans[-1]
+        for m in matches:
+            group = m.lastindex - shift
+            if group <= 0:  # an action
+                peer, mark, label, sort = m.group(1, 2, 3, 4)
+                if (kinds and kinds[-1] in _BEFORE_ACTION
+                        and peer[0].isalpha() and label[0].isalpha()
+                        and peer not in _RESERVED and label not in _RESERVED
+                        and (sort is None or sort[0].isalpha() and sort not in _RESERVED)):
+                    kinds.append("action")
+                    texts.append((Action(peer, _DIRECTION[mark], label, sort or DEFAULT_SORT),
+                                  m.end(m.lastindex)))
+                    offsets.append(m.start())
+                    continue
+                scans.append((_TOKEN.finditer(text, m.start(), m.end()), 0))
+                break
+            lexeme = m.group()
+            if group == _WORD:
+                if not lexeme[0].isalpha():
+                    # the numeral is a stray; the rest is read again
+                    strays.append((m.start(), lexeme[0]))
+                    scans.append((_TOKEN.finditer(text, m.start() + 1, m.end()), 0))
+                    break
+                kinds.append(lexeme if lexeme in _RESERVED else "ident")
+            elif group == _MARK:
+                kinds.append(lexeme)
+            elif group == _COMMENT:
+                # a comment moves no column, so input that ends in one ends
+                # where it began
+                if m.end() == len(text):
+                    eof = m.start()
+                continue
+            else:
+                strays.append((m.start(), lexeme))
+                continue
+            texts.append(lexeme)
+            offsets.append(m.start())
         else:
-            errors.append(ParseError(SourceSpan(line, col), f"unexpected character {lexeme!r}"))
-        m = search(text, start + len(lexeme))
-    # a comment moves no column, so input that ends in one ends where it began
-    eof_col = comment_col if comment_col is not None else len(text) - line_start + 1
-    tokens.append(_Token("eof", "", line, eof_col))
+            scans.pop()
+    kinds.append("eof")
+    texts.append("")
+    offsets.append(eof)
+    line_starts = [0]
+    newline = text.find("\n")
+    while newline >= 0:
+        line_starts.append(newline + 1)
+        newline = text.find("\n", newline + 1)
+    tokens = _Tokens(kinds, texts, offsets, line_starts)
+    errors = [ParseError(SourceSpan(*tokens.locate(offset)), f"unexpected character {char!r}")
+              for offset, char in strays]
     return tokens, errors
 
 
-def _span_of(first: _Token, last: _Token) -> SourceSpan:
-    """Span from `first` through `last` when they share a line, else `first`'s."""
-    if first.line == last.line and last.column >= first.column:
-        return SourceSpan(first.line, first.column, last.column + len(last.text) - first.column)
-    return first.span
+class _Name(NamedTuple):
+    """A declared role name and where it stands."""
+
+    text: str
+    span: SourceSpan
 
 
 class _Unexpected(Exception):
@@ -133,97 +214,105 @@ class _Unexpected(Exception):
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token], errors: list[ParseError]):
+    """Recursive descent over the token columns, with an explicit stack.
+
+    `pos` never passes the final "eof" token, so a token of any other kind
+    can be stepped over directly.  An action token stands only where an
+    `ltype` or an `atom` may begin (see `_BEFORE_ACTION`), and is read there
+    exactly as its tokens would be.
+    """
+
+    def __init__(self, tokens: _Tokens, errors: list[ParseError]):
         self.tokens = tokens
+        self.kinds = tokens.kinds
+        self.texts = tokens.texts
         self.errors = errors
         self.pos = 0
 
-    def peek(self, ahead: int = 0) -> _Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+    def fail(self, i: int, message: str):
+        self.errors.append(ParseError(self.tokens.span(i), message))
+        raise _Unexpected()
 
-    def advance(self) -> _Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "eof":
-            self.pos += 1
-        return tok
+    def found(self, i: int) -> str:
+        return f"'{self.texts[i]}'" if self.kinds[i] != "eof" else "end of input"
 
-    # `pos` never passes the final "eof" token, so `tokens[pos]` is `peek()`
-    # and a token of any other kind can be stepped over directly.
-
-    def accept(self, kind: str) -> _Token | None:
-        tok = self.tokens[self.pos]
-        if tok.kind != kind:
-            return None
+    def accept(self, kind: str) -> bool:
+        if self.kinds[self.pos] != kind:
+            return False
         self.pos += 1
-        return tok
+        return True
 
-    def expect(self, kind: str, what: str) -> _Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != kind:
-            found = f"'{tok.text}'" if tok.kind != "eof" else "end of input"
-            self.errors.append(ParseError(tok.span, f"expected {what}, found {found}"))
-            raise _Unexpected()
-        self.pos += 1
-        return tok
+    def expect(self, kind: str, what: str) -> int:
+        """Index of the next token, which must be of `kind`."""
+        i = self.pos
+        if self.kinds[i] != kind:
+            self.fail(i, f"expected {what}, found {self.found(i)}")
+        self.pos = i + 1
+        return i
 
-    def parse_file(self) -> list[tuple[_Token, LocalType]]:
-        decls: list[tuple[_Token, LocalType]] = []
-        while self.peek().kind != "eof":
+    def parse_file(self) -> list[tuple[_Name, LocalType]]:
+        kinds = self.kinds
+        decls: list[tuple[_Name, LocalType]] = []
+        while kinds[self.pos] != "eof":
             try:
                 self.expect("role", "'role'")
                 name = self.expect("ident", "role name")
                 self.expect(":", "':' after role name")
-                decls.append((name, self.parse_ltype()))
+                decls.append((_Name(self.texts[name], self.tokens.span(name)),
+                              self.parse_ltype()))
             except _Unexpected:
                 # resynchronise at the next declaration
-                while self.peek().kind not in ("role", "eof"):
-                    self.advance()
+                while kinds[self.pos] not in ("role", "eof"):
+                    self.pos += 1
         return decls
 
     def parse_ltype(self) -> LocalType:
         """One `ltype`, parsed with an explicit stack of the constructs still
         waiting for their continuation, so nesting costs no interpreter
         stack.  Any syntax error abandons the whole type."""
+        kinds, tokens = self.kinds, self.tokens
         # ("rec", var, span) | ("atom", action, span) | ("prefix", span)
         # | ("choice", span of '{', branches so far), innermost last
         pending: list[tuple] = []
         while True:
-            tok = self.peek()
-            if tok.kind == "end":
-                self.advance()
-                term = End(tok.span)
-            elif tok.kind == "rec":
-                self.advance()
+            i = self.pos
+            kind = kinds[i]
+            if kind == "action" or kind == "ident" and kinds[i + 1] in ("!", "?"):
+                atom = self.parse_atom()
+                # the single branch's choice spans the peer alone
+                span = atom[2]
+                pending.append(("prefix", SourceSpan(span.line, span.column, len(atom[1].peer))))
+                pending.append(atom)
+                continue
+            if kind == "end":
+                self.pos = i + 1
+                term = End(tokens.span(i))
+            elif kind == "rec":
+                self.pos = i + 1
                 var = self.expect("ident", "recursion variable")
                 self.expect(".", "'.' after recursion variable")
-                pending.append(("rec", var.text, _span_of(tok, var)))
+                pending.append(("rec", self.texts[var], tokens.span_of(i, var)))
                 continue
-            elif tok.kind == "{":
-                self.advance()
-                pending.append(("choice", tok.span, []))
+            elif kind == "{":
+                self.pos = i + 1
+                pending.append(("choice", tokens.span(i), []))
                 pending.append(self.parse_atom())
                 continue
-            elif tok.kind == "ident" and self.peek(1).kind in ("!", "?"):
-                pending.append(("prefix", tok.span))
-                pending.append(self.parse_atom())
-                continue
-            elif tok.kind == "ident":
-                self.advance()
-                term = RecVar(tok.text, tok.span)
+            elif kind == "ident":
+                self.pos = i + 1
+                term = RecVar(self.texts[i], tokens.span(i))
             else:
-                found = f"'{tok.text}'" if tok.kind != "eof" else "end of input"
-                self.errors.append(ParseError(
-                    tok.span, f"expected 'end', 'rec', an action or a choice, found {found}"))
-                raise _Unexpected()
+                self.fail(i, "expected 'end', 'rec', an action or a choice, "
+                             f"found {self.found(i)}")
             # `term` is complete: hand it to the constructs waiting for it
             while pending:
                 frame = pending.pop()
-                if frame[0] == "rec":
-                    term = RecBinder(frame[1], term, frame[2])
-                elif frame[0] == "atom":
+                if frame[0] == "atom":
                     term = Branch(frame[1], term, frame[2])
                 elif frame[0] == "prefix":
                     term = Choice((term,), frame[1])
+                elif frame[0] == "rec":
+                    term = RecBinder(frame[1], term, frame[2])
                 else:
                     _, opening, branches = frame
                     branches.append(term)
@@ -246,22 +335,27 @@ class _Parser:
     def parse_atom(self) -> tuple:
         """The action of an `atom` up to its ';', as an ("atom", action, span)
         frame waiting for the continuation."""
+        i = self.pos
+        tokens = self.tokens
+        if self.kinds[i] == "action":
+            self.pos = i + 1
+            action, end = self.texts[i]
+            start = tokens.offsets[i]
+            return ("atom", action, SourceSpan(*tokens.locate(start), end - start))
         peer = self.expect("ident", "peer role")
-        mark = self.advance()
-        if mark.kind not in ("!", "?"):
-            self.errors.append(ParseError(mark.span, "expected '!' or '?' after peer role"))
-            raise _Unexpected()
-        label = self.expect("ident", "message label")
-        last = label
-        sort = "unit"
+        mark = self.pos
+        if self.kinds[mark] != "eof":
+            self.pos = mark + 1
+        if self.kinds[mark] not in ("!", "?"):
+            self.fail(mark, "expected '!' or '?' after peer role")
+        label = last = self.expect("ident", "message label")
+        sort = DEFAULT_SORT
         if self.accept("<"):
-            sort_tok = self.expect("ident", "payload sort")
-            sort = sort_tok.text
+            sort = self.texts[self.expect("ident", "payload sort")]
             last = self.expect(">", "'>' closing the payload sort")
         self.expect(";", "';' after the action")
-        direction = Direction.SEND if mark.kind == "!" else Direction.RECEIVE
-        action = Action(peer.text, direction, label.text, sort)
-        return ("atom", action, _span_of(peer, last))
+        action = Action(self.texts[peer], _DIRECTION[self.kinds[mark]], self.texts[label], sort)
+        return ("atom", action, tokens.span_of(peer, last))
 
 
 def parse_system(text: str) -> System:

@@ -27,6 +27,11 @@ class Direction(Enum):
     RECEIVE = "?"
 
 
+# Reading `Direction.SEND` off the enum class costs about ten times a global
+# read (CPython 3.11), so the loops over every action read this one.
+_SEND = Direction.SEND
+
+
 @dataclass(frozen=True)
 class Action:
     """One communication: `peer!label<sort>` (send) or `peer?label<sort>`."""
@@ -40,9 +45,11 @@ class Action:
         return f"{self.peer}{self.direction.value}{self.label}<{self.sort}>"
 
     @property
-    def key(self) -> tuple[str, Direction, str]:
-        """Determinism key: two transitions from one state must differ here."""
-        return (self.peer, self.direction, self.label)
+    def key(self) -> tuple[str, bool, str]:
+        """Determinism key, (peer, is a send, label): two transitions from
+        one state must differ here.  It holds no enum, so hashing it calls
+        no Python code."""
+        return (self.peer, self.direction is _SEND, self.label)
 
 
 Message = tuple[str, str]  # (label, sort): what one queue slot holds
@@ -154,7 +161,8 @@ def check_local_type(
     stack: list[tuple] = [(lt, {})]
     while stack:
         item = stack.pop()
-        if isinstance(item[0], Branch):
+        cls = item[0].__class__
+        if cls is Branch:
             b, seen, direction, after = item
             a = b.action
             key = a.key
@@ -173,9 +181,9 @@ def check_local_type(
             stack.append((b.tail, after))
             continue
         t, guarded = item
-        if isinstance(t, End):
+        if cls is End:
             continue
-        if isinstance(t, RecVar):
+        if cls is RecVar:
             if t.var not in guarded:
                 issues.append(UnboundVariable(
                     f"recursion variable '{t.var}' is not bound", t.span))
@@ -184,14 +192,14 @@ def check_local_type(
                     f"recursion variable '{t.var}' is used without an action in between",
                     t.span))
             continue
-        if isinstance(t, RecBinder):
+        if cls is RecBinder:
             stack.append((t.body, {**guarded, t.var: False}))
             continue
-        seen: dict[tuple[str, Direction, str], Branch] = {}
+        seen: dict[tuple[str, bool, str], Branch] = {}
         direction = t.branches[0].action.direction if t.branches else None
         # crossing an action guards every recursion variable in scope
         after = guarded if all(guarded.values()) else {v: True for v in guarded}
-        stack.extend((b, seen, direction, after) for b in reversed(t.branches))
+        stack.extend([(b, seen, direction, after) for b in reversed(t.branches)])
     return issues
 
 
@@ -225,7 +233,7 @@ class Machine:
         return not self._outgoing.get(state)
 
 
-_Key = tuple  # ("E",) | ("V", var) | ("R", var, body) | ("C", ((action, tail), ...))
+_Key = tuple  # ("E",) | ("V", var) | ("R", var, body) | ("C", ((action id, tail), ...))
 _END: _Key = ("E",)
 _NO_VARS: frozenset[str] = frozenset()
 
@@ -235,15 +243,19 @@ class _Terms:
 
     A term's key names its sub-terms by id, so two terms get the same id
     exactly when they are structurally equal: binder and variable names take
-    part, spans do not, and alpha-variants stay distinct.  `free[i]` holds
-    the free recursion variables of term `i`.  Nothing here recurses, so the
-    depth of a term costs no interpreter stack.
+    part, spans do not, and alpha-variants stay distinct.  A choice's key
+    names each action by its index in `actions`, one per distinct action, so
+    a key holds only strings and ints and hashes without calling Python
+    code.  `free[i]` holds the free recursion variables of term `i`.
+    Nothing here recurses, so the depth of a term costs no interpreter stack.
     """
 
     def __init__(self) -> None:
         self.ids: dict[_Key, int] = {}
         self.keys: list[_Key] = []
         self.free: list[frozenset[str]] = []
+        self.actions: list[Action] = []
+        self._action_ids: dict[tuple[str, bool, str, str], int] = {}
         # (var, repl) -> {term id: id with free `var` replaced by `repl`}
         self._substituted: dict[tuple[str, int], dict[int, int]] = {}
 
@@ -272,28 +284,36 @@ class _Terms:
         A type that passed `check_local_type` binds every variable it uses,
         so interning it is all that closing it takes.
         """
+        action_ids, actions = self._action_ids, self.actions
         done: list[int] = []  # ids of finished sub-terms, left to right
         stack: list[tuple[LocalType, bool]] = [(lt, False)]
         while stack:
             t, children_done = stack.pop()
-            if isinstance(t, End):
+            cls = t.__class__
+            if cls is End:
                 done.append(self.intern(_END))
-            elif isinstance(t, RecVar):
+            elif cls is RecVar:
                 done.append(self.intern(("V", t.var)))
             elif not children_done:
                 stack.append((t, True))
-                if isinstance(t, RecBinder):
+                if cls is RecBinder:
                     stack.append((t.body, False))
                 else:
-                    stack.extend((b.tail, False) for b in reversed(t.branches))
-            elif isinstance(t, RecBinder):
+                    stack.extend([(b.tail, False) for b in reversed(t.branches)])
+            elif cls is RecBinder:
                 done.append(self.intern(("R", t.var, done.pop())))
             else:
                 first = len(done) - len(t.branches)
-                tails = done[first:]
+                row = []
+                for b, tail in zip(t.branches, done[first:]):
+                    a = b.action
+                    value = (a.peer, a.direction is _SEND, a.label, a.sort)
+                    aid = action_ids.setdefault(value, len(actions))
+                    if aid == len(actions):
+                        actions.append(a)
+                    row.append((aid, tail))
                 del done[first:]
-                done.append(self.intern(
-                    ("C", tuple((b.action, tail) for b, tail in zip(t.branches, tails)))))
+                done.append(self.intern(("C", tuple(row))))
         return done[0]
 
     def subst(self, root: int, var: str, repl: int) -> int:
@@ -306,29 +326,27 @@ class _Terms:
         if var not in free[root]:
             return root
         memo = self._substituted.setdefault((var, repl), {})
-        stack = [root]
+        # (id, its children are done), so each term is expanded once
+        stack = [(root, False)]
         while stack:
-            i = stack[-1]
-            if i in memo:
-                stack.pop()
-                continue
+            i, children_done = stack.pop()
             key = keys[i]
-            if key[0] == "V":  # free, so it is `var` itself
-                memo[i] = repl
-                stack.pop()
-                continue
-            children = (key[2],) if key[0] == "R" else tuple(tail for _, tail in key[1])
-            todo = [c for c in children if var in free[c] and c not in memo]
-            if todo:
-                stack.extend(todo)
-                continue
-            stack.pop()
-            if key[0] == "R":
-                memo[i] = self.intern(("R", key[1], memo[key[2]]))
-            else:
-                memo[i] = self.intern(("C", tuple(
-                    (action, memo[tail] if var in free[tail] else tail)
-                    for action, tail in key[1])))
+            if children_done:
+                if key[0] == "R":
+                    memo[i] = self.intern(("R", key[1], memo[key[2]]))
+                else:
+                    memo[i] = self.intern(("C", tuple(
+                        (aid, memo[tail] if var in free[tail] else tail)
+                        for aid, tail in key[1])))
+            elif i not in memo:
+                if key[0] == "V":  # free, so it is `var` itself
+                    memo[i] = repl
+                    continue
+                stack.append((i, True))
+                if key[0] == "R":
+                    stack.append((key[2], False))
+                else:
+                    stack.extend([(tail, False) for _, tail in key[1] if var in free[tail]])
         return memo[root]
 
     def behaviour(self, i: int) -> int:
@@ -362,7 +380,7 @@ def local_type_to_machine(lt: LocalType) -> Machine:
         raise issues[0]
 
     terms = _Terms()
-    keys = terms.keys
+    keys, actions = terms.keys, terms.actions
     root = terms.behaviour(terms.close(lt))
     ids: dict[int, int] = {}
     succ: list[list[tuple[Action, int]]] = []
@@ -374,7 +392,7 @@ def local_type_to_machine(lt: LocalType) -> Machine:
         ids[t] = len(succ)
         key = keys[t]
         if key[0] == "C":
-            row = [(action, terms.behaviour(tail)) for action, tail in key[1]]
+            row = [(actions[aid], terms.behaviour(tail)) for aid, tail in key[1]]
         else:
             row = []
         succ.append(row)
@@ -418,7 +436,7 @@ class System:
         index = self.role_index
         pairs = {(index[role], index[action.peer])
                  for role in self.roles for _, action, _ in self.machines[role].transitions
-                 if action.direction is Direction.SEND}
+                 if action.direction is _SEND}
         return tuple((self.roles[p], self.roles[q]) for p, q in sorted(pairs))
 
     @cached_property
@@ -435,7 +453,7 @@ class System:
         channel_index = self.channel_index  # the gate, before any machine is read
 
         def row(role: str, action: Action, dst: int) -> tuple:
-            is_send = action.direction is Direction.SEND
+            is_send = action.direction is _SEND
             channel = (role, action.peer) if is_send else (action.peer, role)
             return (Step(role, action), dst, channel_index.get(channel),
                     (action.label, action.sort), is_send)
@@ -527,7 +545,7 @@ def _diagnose(system: System) -> list[Diagnostic]:
             if len(set(keys)) != len(keys):
                 diags.append(_error(
                     "nondeterminism", f"state {s} has transitions sharing an action key", r, s))
-            if len({a.direction for a, _ in out}) > 1:
+            if len({is_send for _, is_send, _ in keys}) > 1:
                 diags.append(_error(
                     "mixed-state", f"state {s} mixes send and receive transitions", r, s))
             for a, _ in out:

@@ -77,11 +77,24 @@ def enabled_steps(
 
     Deterministically ordered: roles in system order, then each role's
     transitions in declaration order.  `bound` of None means queues are
-    unbounded (sends are always enabled).
+    unbounded (sends are always enabled).  Raises `ValueError` when `cfg`
+    does not fit `system`: a state count other than the role count, a queue
+    count other than the channel count, or a state its role's machine lacks.
     """
     out: list[tuple[Step, Configuration]] = []
     locals_, buffers = cfg.locals, cfg.buffers
-    for ri, by_state in enumerate(system.step_table):
+    table = system.step_table  # the validity gate, before `cfg` is read
+    if len(locals_) != len(system.roles):
+        raise ValueError(f"configuration has {len(locals_)} role states "
+                         f"for {len(system.roles)} roles")
+    if len(buffers) != len(system.channels):
+        raise ValueError(f"configuration has {len(buffers)} queues "
+                         f"for {len(system.channels)} channels")
+    for role, state in zip(system.roles, locals_):
+        if state not in system.machines[role].states:
+            raise ValueError(f"configuration puts role '{role}' in state {state}, "
+                             "which its machine lacks")
+    for ri, by_state in enumerate(table):
         for step, dst, ci, message, is_send in by_state.get(locals_[ri], ()):
             if ci is None:  # a receive on a pair nobody sends on
                 continue
@@ -104,7 +117,9 @@ def apply_step(
     system: System, cfg: Configuration, step: Step, bound: int | None,
 ) -> Configuration | None:
     """Successor of `cfg` after `step`, or None when `enabled_steps` does not
-    offer the step (unknown role, no such transition, or not enabled)."""
+    offer the step (unknown role, no such transition, or not enabled).
+    Raises `ValueError` as `enabled_steps` does when `cfg` does not fit
+    `system`."""
     for enabled, nxt in enabled_steps(system, cfg, bound):
         if enabled == step:
             return nxt

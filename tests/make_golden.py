@@ -79,6 +79,19 @@ MALFORMED = {
     "malformed-unknown-peer": "role a: c!x; end\n",
     "malformed-several": ("role a: a!x; c!y; t\nrole a: end\n"
                           "role b: {a!x; end} or {a?x; end}\n"),
+    # edge cases of reading an action as one lexeme: a word that starts
+    # with a numeral that is no letter, a keyword in each slot of an
+    # otherwise whole action, an action split over lines or by a comment, a
+    # stray character inside an action, and a final action without its ';'
+    "malformed-numeral-word": "role a: \u216bb!x; end\n",
+    "malformed-keyword-label": "role a: b!end; end\nrole b: a?x; end\n",
+    "malformed-keyword-sort": "role a: b!x<rec>; end\nrole b: a?x; end\n",
+    "malformed-keyword-peer": "role a: end!x; end\nrole b: end\n",
+    "malformed-split-newline": "role a: b\n  !x<int>\n ; t\nrole b: a?x<int>; end\n",
+    "malformed-split-comment": "role a: a! // the label follows\nx; end\n",
+    "malformed-blanks-in-action": "role a: c ! x < int > ; end\n",
+    "malformed-stray-in-action": "role a: b!x<$int>; end\nrole b: a?x<int>; end\n",
+    "malformed-unterminated-action": "role a: b!x<int>",
 }
 
 

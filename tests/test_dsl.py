@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 
@@ -193,3 +194,33 @@ def test_random_roundtrip_sample():
             assert find_isomorphism(
                 system.machines[role], again.machines[role]) is not None
         assert render_system(again) == text
+
+
+# What may stand between two lexemes: blanks keep an action on one line,
+# while a newline or a comment splits it over several.
+_SEPARATORS = (" ", "  ", "\t", " \r", "\n", "\n    ", " // note\n", "\t// x!y<z>;\n  ")
+
+
+def _pad(text: str, rng: random.Random) -> str:
+    """`text` with a random separator, or none, between any two lexemes and
+    a random one in place of each run of blanks; no word is split or joined
+    to another."""
+    lexemes = re.findall(r"\w+|[^\w\s]", text)
+    out = [lexemes[0]]
+    for before, after in zip(lexemes, lexemes[1:]):
+        words = (before + after).replace("_", "a").isalnum()
+        if words or rng.random() < 0.4:
+            out.append(rng.choice(_SEPARATORS))
+        out.append(after)
+    return "".join(out)
+
+
+def test_blanks_between_lexemes_do_not_change_the_machines():
+    rng = random.Random(15)
+    for _ in range(60):
+        text = render_system(random_roundtrip_system(rng))
+        plain = parse_system(text)
+        for _ in range(3):
+            padded = parse_system(_pad(text, rng))
+            assert padded.roles == plain.roles
+            assert padded.machines == plain.machines

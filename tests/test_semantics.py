@@ -6,6 +6,7 @@ from kmcheck.checker import check_kmc_detailed
 from kmcheck.dsl import parse_system
 from kmcheck.model import Direction
 from kmcheck.semantics import (
+    Configuration,
     ResourceExhausted,
     apply_step,
     build_bounded_graph,
@@ -138,6 +139,20 @@ def test_apply_step_rejects_disabled_steps():
     ((recv_step, _),) = enabled_steps(system, after, 1)
     assert apply_step(system, cfg, recv_step, 1) is None  # nothing queued yet
     assert apply_step(system, after, send_step, 1) is None  # already sent
+
+
+@pytest.mark.parametrize("cfg, mismatch", [
+    (Configuration((0,), ()), "1 role states for 2 roles"),
+    (Configuration((0, 0), ()), "0 queues for 1 channels"),
+    (Configuration((7, 0), ((),)), "role 'a' in state 7, which its machine lacks"),
+], ids=["too-few-roles", "too-few-queues", "unknown-state"])
+def test_configuration_of_the_wrong_shape_is_rejected(cfg, mismatch):
+    system = fixture_system("handshake.kmc")
+    ((step, _),) = enabled_steps(system, initial_configuration(system), 1)
+    with pytest.raises(ValueError, match=mismatch):
+        enabled_steps(system, cfg, 1)
+    with pytest.raises(ValueError, match=mismatch):
+        apply_step(system, cfg, step, 1)
 
 
 def test_graph_views_are_read_only_sequences():
