@@ -6,9 +6,10 @@ Run from the repository root:
 
 `oracle.json` holds the brute-force reference's verdicts, graph sizes and
 witness depths.  `reports.json` holds what `kmcheck check` prints for every
-fixture, for a small member of each `graphs` benchmark family and for one
-malformed input per kind of DSL error, with timings scrubbed, so the
-byte-stability of reports and error messages is tested.
+fixture, for a small member of each `graphs` benchmark family, for one
+malformed input per kind of DSL error and for a seeded corpus of single-edit
+mutants of the fixtures, with timings scrubbed, so the byte-stability of
+reports and error messages is tested.
 The tests compare against the frozen files, never against a live oracle run
 or an earlier checkout, so expected values only change when this script is
 re-run on purpose.
@@ -18,6 +19,7 @@ from __future__ import annotations
 import io
 import json
 import pathlib
+import random
 import re
 import sys
 import tempfile
@@ -94,6 +96,35 @@ MALFORMED = {
     "malformed-unterminated-action": "role a: b!x<int>",
 }
 
+# single-edit mutants of the fixtures, whose `kmcheck check --max-bound 2`
+# exit code and stderr are pinned: each deletes one character or inserts one
+# of `MUTANT_INSERTS` at a seeded position
+MUTANT_COUNT = 300
+MUTANT_SEED = 16
+MUTANT_FLAGS = ["--max-bound", "2"]
+MUTANT_INSERTS = (list("!?;<>{}.:") + [f" {kw} " for kw in ("role", "rec", "end", "or")]
+                  + ["\u216b", "$", "\n", "// comment\n"])
+
+
+def mutants() -> dict[str, str]:
+    """input name -> text of each mutant, the name saying which fixture, at
+    which offset, and whether a character was deleted or which insert."""
+    fixtures = [(path.stem, path.read_text(encoding="utf-8"))
+                for path in sorted(FIXTURES.glob("*.kmc"))]
+    rng = random.Random(MUTANT_SEED)
+    out: dict[str, str] = {}
+    for n in range(MUTANT_COUNT):
+        stem, text = rng.choice(fixtures)
+        if rng.random() < 0.5:
+            at = rng.randrange(len(text))
+            edit, mutant = "del", text[:at] + text[at + 1:]
+        else:
+            at = rng.randrange(len(text) + 1)
+            insert = rng.randrange(len(MUTANT_INSERTS))
+            edit, mutant = f"ins{insert}", text[:at] + MUTANT_INSERTS[insert] + text[at:]
+        out[f"mutant{n:03d}-{stem}-{edit}-{at}"] = mutant
+    return out
+
 
 def _scrub(text: str, path: pathlib.Path) -> str:
     """`text` with its timings zeroed and the fixture's path cut to its name."""
@@ -102,22 +133,25 @@ def _scrub(text: str, path: pathlib.Path) -> str:
     return text.replace(str(path), path.name)
 
 
-def _report(path: pathlib.Path, flags: list[str]) -> dict:
-    """The exit code, stdout and stderr of `kmcheck check` on `path` with
-    `flags`, scrubbed."""
+def _report(path: pathlib.Path, flags: list[str], stdout: bool = True) -> dict:
+    """The exit code, stdout (unless not asked for) and stderr of
+    `kmcheck check` on `path` with `flags`, scrubbed."""
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         code = cli.main(["check", str(path), *flags])
-    return {"exit": code,
-            "stdout": _scrub(out.getvalue(), path),
-            "stderr": _scrub(err.getvalue(), path)}
+    report = {"exit": code, "stdout": _scrub(out.getvalue(), path),
+              "stderr": _scrub(err.getvalue(), path)}
+    if not stdout:
+        del report["stdout"]
+    return report
 
 
 def check_reports() -> dict:
     """input name -> mode -> the scrubbed `kmcheck check` report of the
     input with the mode's flags, for every fixture and every family member
-    of `FAMILY_REPORTS` and every input of `MALFORMED` (each written to a
-    temporary `<name>.kmc` first)."""
+    of `FAMILY_REPORTS` and every input of `MALFORMED` and of `mutants()`
+    (each written to a temporary `<name>.kmc` first); a mutant's report
+    leaves out stdout."""
     reports: dict = {}
     for path in sorted(FIXTURES.glob("*.kmc")):
         reports[path.name] = {mode: _report(path, flags)
@@ -133,6 +167,10 @@ def check_reports() -> dict:
             path = pathlib.Path(tmp) / f"{name}.kmc"
             path.write_text(text, encoding="utf-8")
             reports[path.name] = {"plain": _report(path, [])}
+        for name, text in mutants().items():
+            path = pathlib.Path(tmp) / f"{name}.kmc"
+            path.write_text(text, encoding="utf-8")
+            reports[path.name] = {"bound2": _report(path, MUTANT_FLAGS, stdout=False)}
     return reports
 
 
