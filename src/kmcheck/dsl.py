@@ -30,7 +30,6 @@ from .model import (
     Direction,
     End,
     LocalType,
-    Machine,
     RecBinder,
     RecVar,
     ROLE_NAME,
@@ -73,52 +72,31 @@ class DslError(ValueError):
             f"{e.span.line}:{e.span.column}: {e.message}" for e in self.errors))
 
 
-# One lexeme per match, told apart by `lastindex`; blanks (' ', '\t', '\r')
-# and newlines match nothing and are skipped.  A word starts with a letter
-# (`[^\W\d_]` also admits the odd numeral that is no letter, which `_lex`
-# rejects) and continues with letters, digits or '_', as `str.isalnum` has
-# them.  A comment stops before its newline.
-_WORD_RE = r"[^\W\d_]\w*"
-_TOKEN_RE = rf"(//[^\n]*)|({_WORD_RE})|([!?:;.<>{{}}])|([^ \t\r\n])"
-_TOKEN = re.compile(_TOKEN_RE)
-_COMMENT, _WORD, _MARK = 1, 2, 3
-# The first alternative reads a whole action `peer!label<sort>;` with only
-# blanks between its parts as one lexeme (groups 1-5); its `lastindex` is
-# that of the label or of the '>'.  The token rules follow, shifted by 5.
-_BLANKS = r"[ \t\r]*"
-_LEXEME = re.compile(
-    rf"({_WORD_RE}){_BLANKS}([!?]){_BLANKS}({_WORD_RE})"
-    rf"(?:{_BLANKS}<{_BLANKS}({_WORD_RE}){_BLANKS}(>))?{_BLANKS};"
-    rf"|{_TOKEN_RE}")
-_ACTION_GROUPS = 5
-# An action lexeme stands only where the grammar expects a local type or a
-# branch, which is right after one of these tokens (an action ends in ';'):
-# there the parser reads it exactly as it reads the tokens it stands for.
-# Anywhere else, and for an action with a keyword or with a word that starts
-# with no letter, its text is read again by the token rules alone.
-_BEFORE_ACTION = frozenset((":", ".", ";", "{", "action"))
+# One lexeme per match, as the groups (blanks, comment, word, mark, stray):
+# the blanks (' ', '\t', '\r') and newlines before it, then the lexeme in
+# one of the other four.  The last match holds only the blanks at the end
+# (`\Z`), so they are read once, not again from each of them.  A word
+# starts with a letter (`[^\W\d_]` also admits the odd numeral that is no
+# letter, which `_lex` rejects) and continues with letters, digits or '_',
+# as `str.isalnum` has them.  A comment stops before its newline.
+_TOKEN = re.compile(
+    r"([ \t\r\n]*)(?:(//[^\n]*)|([^\W\d_]\w*)|([!?:;.<>{}])|([^ \t\r\n])|\Z)")
 _RESERVED = frozenset(KEYWORDS)
 _DIRECTION = {"!": Direction.SEND, "?": Direction.RECEIVE}
 
 
-class _Tokens:
+class _Tokens(NamedTuple):
     """The lexemes of one text as parallel columns, the last one "eof".
 
-    `kinds[i]` is "ident", a keyword, a punctuation mark, "action" or "eof";
-    `texts[i]` is the lexeme, or for an action the pair (its `Action`, the
-    offset just past its label or '>'); `offsets[i]` is where it starts.
-    Line and column are worked out from an offset only where a `SourceSpan`
-    is built.
+    `kinds[i]` is "ident", a keyword, a punctuation mark or "eof";
+    `texts[i]` is the lexeme and `offsets[i]` where it starts.  Line and
+    column are worked out from an offset only where a `SourceSpan` is built.
     """
 
-    __slots__ = ("kinds", "texts", "offsets", "line_starts")
-
-    def __init__(self, kinds: list[str], texts: list, offsets: list[int],
-                 line_starts: list[int]):
-        self.kinds = kinds
-        self.texts = texts
-        self.offsets = offsets
-        self.line_starts = line_starts
+    kinds: list[str]
+    texts: list[str]
+    offsets: list[int]
+    line_starts: list[int]
 
     def locate(self, offset: int) -> tuple[int, int]:
         """1-based (line, column) of the character at `offset`."""
@@ -126,7 +104,7 @@ class _Tokens:
         return line, offset - self.line_starts[line - 1] + 1
 
     def span(self, i: int) -> SourceSpan:
-        """Span of token `i`, which is no action."""
+        """Span of token `i`."""
         return SourceSpan(*self.locate(self.offsets[i]), max(1, len(self.texts[i])))
 
     def span_of(self, first: int, last: int) -> SourceSpan:
@@ -141,61 +119,47 @@ class _Tokens:
 
 def _lex(text: str) -> tuple[_Tokens, list[ParseError]]:
     kinds: list[str] = []
-    texts: list = []
+    texts: list[str] = []
     offsets: list[int] = []
     strays: list[tuple[int, str]] = []  # (offset, character) of each lexical error
     eof = len(text)
-    # the matches still to read, innermost last: the whole text, and a
-    # stretch of it that the token rules read again
-    scans = [(_LEXEME.finditer(text), _ACTION_GROUPS)]
-    while scans:
-        matches, shift = scans[-1]
-        for m in matches:
-            group = m.lastindex - shift
-            if group <= 0:  # an action
-                peer, mark, label, sort = m.group(1, 2, 3, 4)
-                if (kinds and kinds[-1] in _BEFORE_ACTION
-                        and peer[0].isalpha() and label[0].isalpha()
-                        and peer not in _RESERVED and label not in _RESERVED
-                        and (sort is None or sort[0].isalpha() and sort not in _RESERVED)):
-                    kinds.append("action")
-                    texts.append((Action(peer, _DIRECTION[mark], label, sort or DEFAULT_SORT),
-                                  m.end(m.lastindex)))
-                    offsets.append(m.start())
-                    continue
-                scans.append((_TOKEN.finditer(text, m.start(), m.end()), 0))
-                break
-            lexeme = m.group()
-            if group == _WORD:
-                if not lexeme[0].isalpha():
-                    # the numeral is a stray; the rest is read again
-                    strays.append((m.start(), lexeme[0]))
-                    scans.append((_TOKEN.finditer(text, m.start() + 1, m.end()), 0))
-                    break
-                kinds.append(lexeme if lexeme in _RESERVED else "ident")
-            elif group == _MARK:
-                kinds.append(lexeme)
-            elif group == _COMMENT:
-                # a comment moves no column, so input that ends in one ends
-                # where it began
-                if m.end() == len(text):
-                    eof = m.start()
+    at = 0  # the offset of the next match, as the sum of the lengths before it
+    for blanks, comment, word, mark, stray in _TOKEN.findall(text):
+        at += len(blanks)
+        if word:
+            # a word may start with a numeral that is no letter: it and each
+            # character after it up to the first letter is a stray
+            while word and not word[0].isalpha():
+                strays.append((at, word[0]))
+                at += 1
+                word = word[1:]
+            if not word:
                 continue
-            else:
-                strays.append((m.start(), lexeme))
-                continue
-            texts.append(lexeme)
-            offsets.append(m.start())
-        else:
-            scans.pop()
+            kinds.append(word if word in _RESERVED else "ident")
+            lexeme = word
+        elif mark:
+            kinds.append(mark)
+            lexeme = mark
+        elif comment:
+            # a comment moves no column, so input that ends in one ends
+            # where it began
+            if at + len(comment) == len(text):
+                eof = at
+            at += len(comment)
+            continue
+        elif stray:
+            strays.append((at, stray))
+            at += 1
+            continue
+        else:  # the blanks at the end
+            continue
+        texts.append(lexeme)
+        offsets.append(at)
+        at += len(lexeme)
     kinds.append("eof")
     texts.append("")
     offsets.append(eof)
-    line_starts = [0]
-    newline = text.find("\n")
-    while newline >= 0:
-        line_starts.append(newline + 1)
-        newline = text.find("\n", newline + 1)
+    line_starts = [0, *(m.end() for m in re.finditer("\n", text))]
     tokens = _Tokens(kinds, texts, offsets, line_starts)
     errors = [ParseError(SourceSpan(*tokens.locate(offset)), f"unexpected character {char!r}")
               for offset, char in strays]
@@ -203,10 +167,10 @@ def _lex(text: str) -> tuple[_Tokens, list[ParseError]]:
 
 
 class _Name(NamedTuple):
-    """A declared role name and where it stands."""
+    """A declared role name and the index of its token."""
 
     text: str
-    span: SourceSpan
+    token: int
 
 
 class _Unexpected(Exception):
@@ -217,9 +181,11 @@ class _Parser:
     """Recursive descent over the token columns, with an explicit stack.
 
     `pos` never passes the final "eof" token, so a token of any other kind
-    can be stepped over directly.  An action token stands only where an
-    `ltype` or an `atom` may begin (see `_BEFORE_ACTION`), and is read there
-    exactly as its tokens would be.
+    can be stepped over directly.  Every action is read by `parse_atom`.
+    Of the parsed types only a `Branch` (from its peer through its label or
+    '>') and a `RecVar` carry a span, as only their faults are reported by
+    `check_local_type`; the span of a role name or of a '{' is worked out
+    where an error about it is raised.
     """
 
     def __init__(self, tokens: _Tokens, errors: list[ParseError]):
@@ -258,8 +224,7 @@ class _Parser:
                 self.expect("role", "'role'")
                 name = self.expect("ident", "role name")
                 self.expect(":", "':' after role name")
-                decls.append((_Name(self.texts[name], self.tokens.span(name)),
-                              self.parse_ltype()))
+                decls.append((_Name(self.texts[name], name), self.parse_ltype()))
             except _Unexpected:
                 # resynchronise at the next declaration
                 while kinds[self.pos] not in ("role", "eof"):
@@ -270,49 +235,45 @@ class _Parser:
         """One `ltype`, parsed with an explicit stack of the constructs still
         waiting for their continuation, so nesting costs no interpreter
         stack.  Any syntax error abandons the whole type."""
-        kinds, tokens = self.kinds, self.tokens
-        # ("rec", var, span) | ("atom", action, span) | ("prefix", span)
-        # | ("choice", span of '{', branches so far), innermost last
+        kinds = self.kinds
+        # ("rec", var) | ("prefix", action, span) | ("branch", action, span)
+        # | ("choice", index of '{', branches so far), innermost last
         pending: list[tuple] = []
         while True:
             i = self.pos
             kind = kinds[i]
-            if kind == "action" or kind == "ident" and kinds[i + 1] in ("!", "?"):
-                atom = self.parse_atom()
-                # the single branch's choice spans the peer alone
-                span = atom[2]
-                pending.append(("prefix", SourceSpan(span.line, span.column, len(atom[1].peer))))
-                pending.append(atom)
+            if kind == "ident" and kinds[i + 1] in ("!", "?"):
+                pending.append(self.parse_atom("prefix"))
                 continue
             if kind == "end":
                 self.pos = i + 1
-                term = End(tokens.span(i))
+                term = End()
             elif kind == "rec":
                 self.pos = i + 1
                 var = self.expect("ident", "recursion variable")
                 self.expect(".", "'.' after recursion variable")
-                pending.append(("rec", self.texts[var], tokens.span_of(i, var)))
+                pending.append(("rec", self.texts[var]))
                 continue
             elif kind == "{":
                 self.pos = i + 1
-                pending.append(("choice", tokens.span(i), []))
-                pending.append(self.parse_atom())
+                pending.append(("choice", i, []))
+                pending.append(self.parse_atom("branch"))
                 continue
             elif kind == "ident":
                 self.pos = i + 1
-                term = RecVar(self.texts[i], tokens.span(i))
+                term = RecVar(self.texts[i], self.tokens.span(i))
             else:
                 self.fail(i, "expected 'end', 'rec', an action or a choice, "
                              f"found {self.found(i)}")
             # `term` is complete: hand it to the constructs waiting for it
             while pending:
                 frame = pending.pop()
-                if frame[0] == "atom":
+                if frame[0] == "prefix":
+                    term = Choice((Branch(frame[1], term, frame[2]),))
+                elif frame[0] == "branch":
                     term = Branch(frame[1], term, frame[2])
-                elif frame[0] == "prefix":
-                    term = Choice((term,), frame[1])
                 elif frame[0] == "rec":
-                    term = RecBinder(frame[1], term, frame[2])
+                    term = RecBinder(frame[1], term)
                 else:
                     _, opening, branches = frame
                     branches.append(term)
@@ -320,42 +281,33 @@ class _Parser:
                     if self.accept("or"):
                         self.expect("{", "'{'")
                         pending.append(frame)
-                        pending.append(self.parse_atom())
+                        pending.append(self.parse_atom("branch"))
                         break
                     if len(branches) < 2:
-                        self.errors.append(ParseError(
-                            opening,
-                            "a choice needs at least two branches; "
-                            "write a single action without braces"))
-                        raise _Unexpected()
-                    term = Choice(tuple(branches), opening)
+                        self.fail(opening, "a choice needs at least two branches; "
+                                           "write a single action without braces")
+                    term = Choice(tuple(branches))
             else:
                 return term
 
-    def parse_atom(self) -> tuple:
-        """The action of an `atom` up to its ';', as an ("atom", action, span)
-        frame waiting for the continuation."""
-        i = self.pos
-        tokens = self.tokens
-        if self.kinds[i] == "action":
-            self.pos = i + 1
-            action, end = self.texts[i]
-            start = tokens.offsets[i]
-            return ("atom", action, SourceSpan(*tokens.locate(start), end - start))
+    def parse_atom(self, tag: str) -> tuple[str, Action, SourceSpan]:
+        """The action of an `atom` up to its ';', as a `tag` frame with the
+        action and its span from the peer through the label or '>'."""
+        kinds, texts = self.kinds, self.texts
         peer = self.expect("ident", "peer role")
         mark = self.pos
-        if self.kinds[mark] != "eof":
+        if kinds[mark] != "eof":
             self.pos = mark + 1
-        if self.kinds[mark] not in ("!", "?"):
+        if kinds[mark] not in ("!", "?"):
             self.fail(mark, "expected '!' or '?' after peer role")
         label = last = self.expect("ident", "message label")
         sort = DEFAULT_SORT
         if self.accept("<"):
-            sort = self.texts[self.expect("ident", "payload sort")]
+            sort = texts[self.expect("ident", "payload sort")]
             last = self.expect(">", "'>' closing the payload sort")
         self.expect(";", "';' after the action")
-        action = Action(self.texts[peer], _DIRECTION[self.kinds[mark]], self.texts[label], sort)
-        return ("atom", action, tokens.span_of(peer, last))
+        action = Action(texts[peer], _DIRECTION[kinds[mark]], texts[label], sort)
+        return tag, action, self.tokens.span_of(peer, last)
 
 
 def parse_system(text: str) -> System:
@@ -375,27 +327,23 @@ def parse_system(text: str) -> System:
     failures: list[ValidationError] = []
     roles: list[str] = []
     seen: set[str] = set()
-    for name_tok, _ in decls:
-        name = name_tok.text
+    for (name, token), _ in decls:
         if name in seen:
-            failures.append(ValidationError(name_tok.span, f"role '{name}' declared twice"))
+            failures.append(ValidationError(tokens.span(token), f"role '{name}' declared twice"))
         elif not ROLE_NAME.match(name):
-            failures.append(ValidationError(name_tok.span, f"invalid role name '{name}'"))
+            failures.append(ValidationError(tokens.span(token), f"invalid role name '{name}'"))
         else:
             roles.append(name)
         seen.add(name)
     if not decls:
         failures.append(ValidationError(SourceSpan(1, 1), "input declares no roles"))
 
-    machines: dict[str, Machine] = {}
-    for name_tok, lt in decls:
-        for issue in check_local_type(lt, subject=name_tok.text, roles=seen):
-            failures.append(ValidationError(issue.span or name_tok.span, issue.message))
+    for name, lt in decls:
+        failures.extend(ValidationError(issue.span, issue.message)
+                        for issue in check_local_type(lt, subject=name.text, roles=seen))
     if failures:
         raise DslError(failures)
-    for name_tok, lt in decls:
-        machines[name_tok.text] = local_type_to_machine(lt)
-    system = System(tuple(roles), machines)
+    system = System(tuple(roles), {name.text: local_type_to_machine(lt) for name, lt in decls})
     assert not has_errors(validate_system(system))
     return system
 

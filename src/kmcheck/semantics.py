@@ -77,10 +77,13 @@ def enabled_steps(
 
     Deterministically ordered: roles in system order, then each role's
     transitions in declaration order.  `bound` of None means queues are
-    unbounded (sends are always enabled).  Raises `ValueError` when `cfg`
-    does not fit `system`: a state count other than the role count, a queue
-    count other than the channel count, or a state its role's machine lacks.
+    unbounded (sends are always enabled).  Raises `ValueError` on a `bound`
+    below 1, and when `cfg` does not fit `system`: a state count other than
+    the role count, a queue count other than the channel count, or a state
+    its role's machine lacks.
     """
+    if bound is not None and bound < 1:
+        raise ValueError("bound must be at least 1")
     out: list[tuple[Step, Configuration]] = []
     locals_, buffers = cfg.locals, cfg.buffers
     table = system.step_table  # the validity gate, before `cfg` is read
@@ -118,8 +121,8 @@ def apply_step(
 ) -> Configuration | None:
     """Successor of `cfg` after `step`, or None when `enabled_steps` does not
     offer the step (unknown role, no such transition, or not enabled).
-    Raises `ValueError` as `enabled_steps` does when `cfg` does not fit
-    `system`."""
+    Raises `ValueError` as `enabled_steps` does, on a `bound` below 1 or a
+    `cfg` that does not fit `system`."""
     for enabled, nxt in enabled_steps(system, cfg, bound):
         if enabled == step:
             return nxt

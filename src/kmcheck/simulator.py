@@ -48,8 +48,8 @@ def simulate(
 ) -> RunResult:
     """One random run under queue bound `bound` (None = unbounded queues).
 
-    A system that `validate_system` reports errors for raises `ValueError`;
-    lints pass.
+    A system that `validate_system` reports errors for raises `ValueError`,
+    as does a `bound` below 1 once a step is looked for; lints pass.
     """
     rng = random.Random(seed)
     cfg = initial_configuration(system)
@@ -90,7 +90,8 @@ def replay(
     `enabled_steps` offers it.  Raises `ReplayError` at the first step that
     cannot be taken, so a trace accepted by replay is a genuine execution
     under the given bound.  A system that `validate_system` reports errors
-    for raises `ValueError`; lints pass.
+    for raises `ValueError`, as does a `bound` below 1 once a step is
+    taken; lints pass.
     """
     cfg = initial_configuration(system)
     for i, step in enumerate(trace):

@@ -81,10 +81,10 @@ MALFORMED = {
     "malformed-unknown-peer": "role a: c!x; end\n",
     "malformed-several": ("role a: a!x; c!y; t\nrole a: end\n"
                           "role b: {a!x; end} or {a?x; end}\n"),
-    # edge cases of reading an action as one lexeme: a word that starts
-    # with a numeral that is no letter, a keyword in each slot of an
-    # otherwise whole action, an action split over lines or by a comment, a
-    # stray character inside an action, and a final action without its ';'
+    # edge cases of reading an action: a word that starts with a numeral
+    # that is no letter, a keyword in each slot of an otherwise whole
+    # action, an action split over lines or by a comment, a stray character
+    # inside an action, and a final action without its ';'
     "malformed-numeral-word": "role a: \u216bb!x; end\n",
     "malformed-keyword-label": "role a: b!end; end\nrole b: a?x; end\n",
     "malformed-keyword-sort": "role a: b!x<rec>; end\nrole b: a?x; end\n",

@@ -12,7 +12,7 @@ import jsonschema
 import pytest
 
 from kmcheck import cli
-from kmcheck.checker import check_kmc_detailed
+from kmcheck.checker import Safe, check_kmc_detailed
 from kmcheck.cli import main
 from kmcheck.simulator import parse_trace, replay
 
@@ -113,6 +113,16 @@ def test_readme_check_examples_match_the_cli(command, shown, capsys, monkeypatch
     out = capsys.readouterr().out
     out = re.sub(r"\b\d+ ms$", "0 ms", out, flags=re.M)
     assert re.sub(r'"elapsed_ms": \d+', '"elapsed_ms": 0', out) == shown
+
+
+def test_readme_library_example_runs(monkeypatch):
+    monkeypatch.chdir(SRC.parent)  # the example names a file from the repository root
+    readme = (SRC.parent / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"^## Library use\n.*?^```python\n(.*?)^```$", readme, re.M | re.S)
+    scope: dict = {}
+    exec(block, scope)
+    assert isinstance(scope["verdict"], Safe)
+    assert scope["verdict"].k == 1
 
 
 def test_check_unreadable_file(capsys):
@@ -326,6 +336,12 @@ def test_export_dot_io_error(tmp_path, capsys):
     blocker.write_text("")
     assert main(["export-dot", FIB, "-o", str(blocker / "sub")]) == 74
     assert "cannot write" in capsys.readouterr().err
+    # nor can a trace be written there
+    trace = blocker / "run.trace"
+    assert main(["simulate", FIB, "--trace", str(trace)]) == 74
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"kmcheck simulate: cannot write {trace}: ")
 
 
 def test_written_files_are_utf8_whatever_the_locale(tmp_path):

@@ -193,6 +193,13 @@ def _lints(diags):
 def test_validate_missing_machine():
     system = System(("a", "b"), {"a": _machine((0, send("b", "x"), 1))})
     assert "missing-machine" in _errors(validate_system(system))
+    # and the other way round: a machine for a role that is not declared
+    m = local_type_to_machine(End())
+    assert _errors(validate_system(System(("a",), {"a": m, "z": m}))) == {"unknown-machine"}
+
+
+def test_validate_no_roles():
+    assert _errors(validate_system(System((), {}))) == {"no-roles"}
 
 
 def test_validate_duplicate_role():

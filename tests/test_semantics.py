@@ -119,6 +119,15 @@ def test_resource_cap_raises_with_count():
 def test_bound_must_be_positive():
     with pytest.raises(ValueError):
         build_bounded_graph(fixture_system("fib.kmc"), 0)
+    system = fixture_system("handshake.kmc")
+    cfg = initial_configuration(system)
+    ((step, after),) = enabled_steps(system, cfg, None)
+    for bound in (0, -1):
+        with pytest.raises(ValueError, match="^bound must be at least 1$"):
+            enabled_steps(system, cfg, bound)
+        with pytest.raises(ValueError, match="^bound must be at least 1$"):
+            apply_step(system, cfg, step, bound)
+    assert apply_step(system, cfg, step, 1) == after
 
 
 @pytest.mark.parametrize("cap", [0, -3])

@@ -179,12 +179,25 @@ def test_replay_rejects_send_past_the_bound():
     assert str(info.value) == "step 1: queue a->b is full, cannot send 'item2'"
 
 
+@pytest.mark.parametrize("bound", [0, -1])
+def test_a_bound_below_one_is_rejected(bound):
+    # a queue of no slots would leave the sender nothing to do
+    system = fixture_system("handshake.kmc")
+    trace = simulate(system, bound=1).trace
+    with pytest.raises(ValueError, match="^bound must be at least 1$"):
+        simulate(system, bound)
+    with pytest.raises(ValueError, match="^bound must be at least 1$"):
+        replay(system, trace, bound)
+    assert replay(system, trace, None) == simulate(system, None).final
+
+
 def test_trace_text_roundtrip():
     system = fixture_system("fib.kmc")
     trace = simulate(system, bound=1, seed=3).trace
     text = format_trace(trace)
     assert parse_trace(text) == trace
     assert text.count("\n") == len(trace)
+    assert parse_trace("\n" + text.replace("\n", "\n \t\n")) == trace  # blank lines skipped
 
 
 def test_parse_trace_rejects_garbage():
