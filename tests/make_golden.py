@@ -133,17 +133,15 @@ def _scrub(text: str, path: pathlib.Path) -> str:
     return text.replace(str(path), path.name)
 
 
-def _report(path: pathlib.Path, flags: list[str], stdout: bool = True) -> dict:
-    """The exit code, stdout (unless not asked for) and stderr of
-    `kmcheck check` on `path` with `flags`, scrubbed."""
+def _report(path: pathlib.Path, flags: list[str]) -> dict:
+    """The exit code, stdout and stderr of `kmcheck check` on `path` with
+    `flags`, scrubbed."""
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         code = cli.main(["check", str(path), *flags])
-    report = {"exit": code, "stdout": _scrub(out.getvalue(), path),
-              "stderr": _scrub(err.getvalue(), path)}
-    if not stdout:
-        del report["stdout"]
-    return report
+    return {"exit": code,
+            "stdout": _scrub(out.getvalue(), path),
+            "stderr": _scrub(err.getvalue(), path)}
 
 
 def check_reports() -> dict:
@@ -170,7 +168,9 @@ def check_reports() -> dict:
         for name, text in mutants().items():
             path = pathlib.Path(tmp) / f"{name}.kmc"
             path.write_text(text, encoding="utf-8")
-            reports[path.name] = {"bound2": _report(path, MUTANT_FLAGS, stdout=False)}
+            report = _report(path, MUTANT_FLAGS)
+            del report["stdout"]
+            reports[path.name] = {"bound2": report}
     return reports
 
 
