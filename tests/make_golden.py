@@ -82,10 +82,12 @@ MALFORMED = {
     "malformed-several": ("role a: a!x; c!y; t\nrole a: end\n"
                           "role b: {a!x; end} or {a?x; end}\n"),
     # edge cases of reading an action: a word that starts with a numeral
-    # that is no letter, a keyword in each slot of an otherwise whole
-    # action, an action split over lines or by a comment, a stray character
-    # inside an action, and a final action without its ';'
+    # that is no letter, or is made only of such numerals, a keyword in each
+    # slot of an otherwise whole action, an action split over lines or by a
+    # comment, a stray character inside an action, a final action without
+    # its ';', and an action cut short before the next declaration
     "malformed-numeral-word": "role a: \u216bb!x; end\n",
+    "malformed-numerals-only": "role a: \u216b\u00b2 end\n",
     "malformed-keyword-label": "role a: b!end; end\nrole b: a?x; end\n",
     "malformed-keyword-sort": "role a: b!x<rec>; end\nrole b: a?x; end\n",
     "malformed-keyword-peer": "role a: end!x; end\nrole b: end\n",
@@ -94,6 +96,7 @@ MALFORMED = {
     "malformed-blanks-in-action": "role a: c ! x < int > ; end\n",
     "malformed-stray-in-action": "role a: b!x<$int>; end\nrole b: a?x<int>; end\n",
     "malformed-unterminated-action": "role a: b!x<int>",
+    "malformed-no-label": "role a: {b!\nrole b: end end\n",
 }
 
 # single-edit mutants of the fixtures, whose `kmcheck check --max-bound 2`
