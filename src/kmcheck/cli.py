@@ -24,7 +24,6 @@ from .dsl import DslError, parse_system
 from .semantics import ResourceExhausted
 from .simulator import DEFAULT_MAX_STEPS, DEFAULT_SEED, Outcome, format_trace, simulate
 
-EX_OK = 0
 EX_USAGE = 64
 EX_DATAERR = 65
 EX_RESOURCE = 70

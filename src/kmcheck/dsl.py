@@ -44,11 +44,10 @@ KEYWORDS = ("role", "rec", "end", "or")
 
 
 class SourceSpan(NamedTuple):
-    """1-based position of a source fragment on a single line."""
+    """1-based line and column where a source fragment starts."""
 
     line: int
     column: int
-    length: int = 1
 
 
 @dataclass(frozen=True)
@@ -98,23 +97,14 @@ class _Tokens(NamedTuple):
     offsets: list[int]
     line_starts: list[int]
 
-    def locate(self, offset: int) -> tuple[int, int]:
-        """1-based (line, column) of the character at `offset`."""
+    def locate(self, offset: int) -> SourceSpan:
+        """Line and column of the character at `offset`."""
         line = bisect_right(self.line_starts, offset)
-        return line, offset - self.line_starts[line - 1] + 1
+        return SourceSpan(line, offset - self.line_starts[line - 1] + 1)
 
     def span(self, i: int) -> SourceSpan:
-        """Span of token `i`."""
-        return SourceSpan(*self.locate(self.offsets[i]), max(1, len(self.texts[i])))
-
-    def span_of(self, first: int, last: int) -> SourceSpan:
-        """Span from token `first` through token `last` when they share a
-        line, else `first`'s."""
-        start, last_start = self.offsets[first], self.offsets[last]
-        line, column = self.locate(start)
-        if bisect_right(self.line_starts, last_start) != line:
-            return self.span(first)
-        return SourceSpan(line, column, last_start + len(self.texts[last]) - start)
+        """Where token `i` starts."""
+        return self.locate(self.offsets[i])
 
 
 def _lex(text: str) -> tuple[_Tokens, list[ParseError]]:
@@ -161,7 +151,7 @@ def _lex(text: str) -> tuple[_Tokens, list[ParseError]]:
     offsets.append(eof)
     line_starts = [0, *(m.end() for m in re.finditer("\n", text))]
     tokens = _Tokens(kinds, texts, offsets, line_starts)
-    errors = [ParseError(SourceSpan(*tokens.locate(offset)), f"unexpected character {char!r}")
+    errors = [ParseError(tokens.locate(offset), f"unexpected character {char!r}")
               for offset, char in strays]
     return tokens, errors
 
@@ -182,10 +172,10 @@ class _Parser:
 
     `pos` never passes the final "eof" token, so a token of any other kind
     can be stepped over directly.  Every action is read by `parse_atom`.
-    Of the parsed types only a `Branch` (from its peer through its label or
-    '>') and a `RecVar` carry a span, as only their faults are reported by
-    `check_local_type`; the span of a role name or of a '{' is worked out
-    where an error about it is raised.
+    Of the parsed types only a `Branch` (at its peer) and a `RecVar` carry a
+    span, as only their faults are reported by `check_local_type`; the span
+    of a role name or of a '{' is worked out where an error about it is
+    raised.
     """
 
     def __init__(self, tokens: _Tokens, errors: list[ParseError]):
@@ -292,22 +282,21 @@ class _Parser:
 
     def parse_atom(self, tag: str) -> tuple[str, Action, SourceSpan]:
         """The action of an `atom` up to its ';', as a `tag` frame with the
-        action and its span from the peer through the label or '>'."""
+        action and the span of its peer."""
         kinds, texts = self.kinds, self.texts
         peer = self.expect("ident", "peer role")
         mark = self.pos
-        if kinds[mark] != "eof":
-            self.pos = mark + 1
         if kinds[mark] not in ("!", "?"):
-            self.fail(mark, "expected '!' or '?' after peer role")
-        label = last = self.expect("ident", "message label")
+            self.fail(mark, f"expected '!' or '?' after peer role, found {self.found(mark)}")
+        self.pos = mark + 1
+        label = self.expect("ident", "message label")
         sort = DEFAULT_SORT
         if self.accept("<"):
             sort = texts[self.expect("ident", "payload sort")]
-            last = self.expect(">", "'>' closing the payload sort")
+            self.expect(">", "'>' closing the payload sort")
         self.expect(";", "';' after the action")
         action = Action(texts[peer], _DIRECTION[kinds[mark]], texts[label], sort)
-        return tag, action, self.tokens.span_of(peer, last)
+        return tag, action, self.tokens.span(peer)
 
 
 def parse_system(text: str) -> System:

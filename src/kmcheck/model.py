@@ -76,14 +76,15 @@ def receive(peer: str, label: str, sort: str = DEFAULT_SORT) -> Action:
 
 # --- local types ------------------------------------------------------------
 #
-# Source spans are carried for error reporting only; they never take part in
-# equality or hashing, so structurally identical sub-terms from different
-# places in a file compare equal.
+# A `Branch` and a `RecVar` carry the source position that `check_local_type`
+# reports their faults at.  It never takes part in equality or hashing, so
+# structurally identical sub-terms from different places in a file compare
+# equal.
 
 
 @dataclass(frozen=True)
 class End:
-    span: SourceSpan | None = field(default=None, compare=False, repr=False)
+    pass
 
 
 @dataclass(frozen=True)
@@ -102,14 +103,12 @@ class Branch:
 @dataclass(frozen=True)
 class Choice:
     branches: tuple[Branch, ...]
-    span: SourceSpan | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
 class RecBinder:
     var: str
     body: "LocalType"
-    span: SourceSpan | None = field(default=None, compare=False, repr=False)
 
 
 LocalType = End | RecVar | Choice | RecBinder
@@ -172,7 +171,7 @@ def check_local_type(
                 issues.append(DuplicateBranch(
                     f"duplicate branch '{a.peer}{a.direction.value}{a.label}' in choice",
                     b.span))
-            seen[key] = b
+            seen.add(key)
             if subject is not None and a.peer == subject:
                 issues.append(LocalTypeError(
                     f"role '{subject}' communicates with itself", b.span))
@@ -195,7 +194,7 @@ def check_local_type(
         if cls is RecBinder:
             stack.append((t.body, {**guarded, t.var: False}))
             continue
-        seen: dict[tuple[str, bool, str], Branch] = {}
+        seen: set[tuple[str, bool, str]] = set()
         direction = t.branches[0].action.direction if t.branches else None
         # crossing an action guards every recursion variable in scope
         after = guarded if all(guarded.values()) else {v: True for v in guarded}

@@ -97,6 +97,7 @@ MALFORMED = {
     "malformed-stray-in-action": "role a: b!x<$int>; end\nrole b: a?x<int>; end\n",
     "malformed-unterminated-action": "role a: b!x<int>",
     "malformed-no-label": "role a: {b!\nrole b: end end\n",
+    "malformed-no-direction": "role a: {b\nrole b: end end\n",
 }
 
 # single-edit mutants of the fixtures, whose `kmcheck check --max-bound 2`

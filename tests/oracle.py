@@ -260,10 +260,8 @@ def _close(t: LocalType, env: dict[str, LocalType | None]) -> LocalType:
         repl = env[t.var]
         return t if repl is None else repl
     if isinstance(t, RecBinder):
-        return RecBinder(t.var, _close(t.body, {**env, t.var: None}), t.span)
-    return Choice(
-        tuple(Branch(b.action, _close(b.tail, env), b.span) for b in t.branches),
-        t.span)
+        return RecBinder(t.var, _close(t.body, {**env, t.var: None}))
+    return Choice(tuple(Branch(b.action, _close(b.tail, env), b.span) for b in t.branches))
 
 
 def _subst(t: LocalType, var: str, repl: LocalType) -> LocalType:
@@ -272,11 +270,10 @@ def _subst(t: LocalType, var: str, repl: LocalType) -> LocalType:
     if isinstance(t, RecBinder):
         if t.var == var:  # shadowed
             return t
-        return RecBinder(t.var, _subst(t.body, var, repl), t.span)
+        return RecBinder(t.var, _subst(t.body, var, repl))
     if isinstance(t, Choice):
         return Choice(
-            tuple(Branch(b.action, _subst(b.tail, var, repl), b.span) for b in t.branches),
-            t.span)
+            tuple(Branch(b.action, _subst(b.tail, var, repl), b.span) for b in t.branches))
     return t
 
 

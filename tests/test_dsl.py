@@ -74,6 +74,16 @@ def test_one_error_per_broken_declaration():
     assert [(e.span.line, e.span.column) for e in errs] == [(1, 9), (2, 9)]
 
 
+def test_missing_direction_keeps_the_next_declaration():
+    # the token after the peer is not stepped over, so a `role` there still
+    # starts the next declaration, whose own error is reported too
+    errs = _errors_of("role a: {b\nrole b: end end\n")
+    assert errs == (
+        ParseError(SourceSpan(2, 1), "expected '!' or '?' after peer role, found 'role'"),
+        ParseError(SourceSpan(2, 13), "expected 'role', found 'end'"),
+    )
+
+
 def test_duplicate_role_rejected():
     errs = _errors_of("role a: end\nrole a: end")
     assert any(

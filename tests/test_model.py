@@ -44,9 +44,11 @@ def test_action_rendering():
 def test_spans_do_not_affect_equality():
     from kmcheck.dsl import SourceSpan
 
-    assert End() == End(SourceSpan(3, 1))
+    hello = send("b", "hello")
+    assert Branch(hello, End(), SourceSpan(3, 1)) == Branch(hello, End())
+    assert hash(Branch(hello, End(), SourceSpan(3, 1))) == hash(Branch(hello, End()))
     assert RecVar("t", SourceSpan(1, 2)) == RecVar("t", SourceSpan(9, 9))
-    assert hash(End()) == hash(End(SourceSpan(3, 1)))
+    assert hash(RecVar("t", SourceSpan(1, 2))) == hash(RecVar("t"))
 
 
 def test_single_action_translates_to_two_states():

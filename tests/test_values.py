@@ -108,10 +108,10 @@ REPRS = {
     "Machine": f"Machine(states=frozenset({{0, 1}}), initial=0, transitions=((0, {_ACTION}, 1),))",
     "Diagnostic": ("Diagnostic(severity=<Severity.ERROR: 'error'>, code='self-send', "
                    "message='a sends to itself', role='a', state=0)"),
-    "SourceSpan": "SourceSpan(line=3, column=7, length=1)",
-    "ParseError": ("ParseError(span=SourceSpan(line=1, column=9, length=1), "
+    "SourceSpan": "SourceSpan(line=3, column=7)",
+    "ParseError": ("ParseError(span=SourceSpan(line=1, column=9), "
                    "message=\"unexpected character '$'\")"),
-    "ValidationError": ("ValidationError(span=SourceSpan(line=1, column=6, length=1), "
+    "ValidationError": ("ValidationError(span=SourceSpan(line=1, column=6), "
                         "message=\"invalid role name 'é'\")"),
     "Configuration": _CONFIGURATION,
     "ProgressViolation": "ProgressViolation(role='b', state=1)",
