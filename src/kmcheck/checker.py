@@ -17,16 +17,16 @@ verdict.
 Both safety properties say "from every reachable configuration, some event
 can still happen" (CTL `AG EF`), so one pass settles all of them.  Each edge
 carries an event bitmask: one bit per role ("the role moves") and one per
-channel ("the channel's head is consumed"), a channel being a pair some
-role sends on (`System.channels`).  Each node starts with the OR of its
-outgoing edges' bits, and one backward worklist, seeded with every node, ORs
-a node's bits into the source of each edge into it and queues that source
-again when its bits grew.  At the fixpoint each node holds the OR over
-everything it can reach.  A node is queued again only when it gains a bit,
-so it is popped at most once per event bit plus once, and each edge is read
-as often: O((roles + channels) * edges) at worst, one or two pops per node
-on large safe graphs.  Only configurations whose mask lacks some bit can
-witness a violation.
+channel ("the channel's head is consumed"), a channel being a pair some role
+sends on (`System.channels`).  Each node starts with no bits, and one
+backward worklist, seeded with every node, ORs each edge's bits and its
+target's into the edge's source and queues that source again when its bits
+grew.  At the fixpoint each node holds the OR over everything it can reach.
+A node is queued again only when it gains a bit, so it is popped at most
+once per event bit plus once, and each edge is read as often:
+O((roles + channels) * edges) at worst, one or two pops per node on large
+safe graphs.  Only configurations whose mask lacks some bit can witness a
+violation.
 
 Send coverage checks each channel on its own, but only where it can fail:
 at candidate nodes, where the sender has a send on the channel and its
@@ -89,7 +89,6 @@ class CheckStats:
 @dataclass(frozen=True)
 class Safe:
     k: int
-    stats: CheckStats
 
 
 @dataclass(frozen=True)
@@ -215,11 +214,9 @@ def check_safety(system: System, graph: BoundedGraph) -> tuple[Violation, ...]:
               for ri, _, j, _, is_send in graph.effects]
 
     reach = [0] * n
-    for u, sid in zip(graph.src, graph.step_id):
-        reach[u] |= events[sid]
     # Backwards to the fixpoint: each node ends with the OR over all it
     # reaches.  A node is on the worklist at most once.
-    src, last_in, prev_in = graph.src, graph.last_in, graph.prev_in
+    src, step_id, last_in, prev_in = graph.src, graph.step_id, graph.last_in, graph.prev_in
     work = array("i", range(n))  # a list would also hold an int object per node
     queued = bytearray(b"\1") * n
     pop, push = work.pop, work.append
@@ -231,8 +228,9 @@ def check_safety(system: System, graph: BoundedGraph) -> tuple[Violation, ...]:
         while e >= 0:
             u = src[e]
             old = reach[u]
-            if bits | old != old:
-                reach[u] = bits | old
+            new = events[step_id[e]] | bits | old
+            if new != old:
+                reach[u] = new
                 if not queued[u]:
                     queued[u] = 1
                     push(u)
@@ -294,35 +292,28 @@ def check_kmc_detailed(
     if max_bound < 1:
         raise ValueError("max_bound must be at least 1")
     started = time.perf_counter()
-    bounds: list[int] = []
-    hints: list[tuple[int, Violation]] = []
-    hinted: set = set()
+    hints: dict = {}  # violation kind -> (the first bound that found it, violation)
     for k in range(1, max_bound + 1):
         graph = build_bounded_graph(system, k, max_configs)
-        bounds.append(k)
+        size = (len(graph.configs), len(graph.src))
         obligations = check_exhaustive(system, graph)
         if not obligations:
             violations = check_safety(system, graph)
-            stats = CheckStats(
-                len(graph.configs), len(graph.src), tuple(bounds), _ms(started))
-            if violations:
-                return CheckOutcome(Unsafe(k, violations), stats)
-            return CheckOutcome(Safe(k, stats), stats)
+            verdict = Unsafe(k, violations) if violations else Safe(k)
+            break
         if collect_bounded:
             for v in check_safety(system, graph):
-                if v.kind not in hinted:
-                    hinted.add(v.kind)
-                    hints.append((k, v))
-        size = (len(graph.configs), len(graph.src))
+                hints.setdefault(v.kind, (k, v))
         del graph  # the next bound's graph is built without this one held
-
-    stats = CheckStats(*size, tuple(bounds), _ms(started))
-    node, role, action = obligations[0]
-    note = (
-        f"no bound up to {max_bound} accounts for every send: at k={max_bound}, "
-        f"{len(obligations)} pending send(s) stay blocked "
-        f"(first: {role} cannot fire {action} at node {node})")
-    return CheckOutcome(Inconclusive(max_bound, note, tuple(hints)), stats)
+    else:
+        node, role, action = obligations[0]
+        note = (
+            f"no bound up to {max_bound} accounts for every send: at k={max_bound}, "
+            f"{len(obligations)} pending send(s) stay blocked "
+            f"(first: {role} cannot fire {action} at node {node})")
+        verdict = Inconclusive(max_bound, note, tuple(hints.values()))
+    stats = CheckStats(*size, tuple(range(1, k + 1)), _ms(started))
+    return CheckOutcome(verdict, stats)
 
 
 def _ms(started: float) -> int:

@@ -74,7 +74,7 @@ def build_parser() -> _Parser:
 
 def _load(path: str):
     try:
-        text = pathlib.Path(path).read_text(encoding="utf-8")
+        text = pathlib.Path(path).read_text(encoding="utf-8-sig")
     except OSError as exc:
         print(f"kmcheck: cannot read {path}: {exc.strerror or exc}", file=sys.stderr)
         raise SystemExit(EX_IOERR)
@@ -110,19 +110,17 @@ def _violation_json(v: Violation) -> dict:
             "label": v.kind.label, "sort": v.kind.sort, "trace": trace}
 
 
+# each kind of verdict: its name in reports, and the exit code of `check`
+_VERDICTS = {Safe: ("safe", 0), Unsafe: ("unsafe", 1), Inconclusive: ("inconclusive", 2)}
+
+
 def _check_json(verdict, stats: CheckStats, max_bound: int) -> dict:
-    if isinstance(verdict, Safe):
-        kind, k, violations = "safe", verdict.k, []
-    elif isinstance(verdict, Unsafe):
-        kind, k, violations = "unsafe", verdict.k, list(verdict.violations)
-    else:
-        kind, k, violations = "inconclusive", None, []
     return {
         "schema": 1,
-        "verdict": kind,
-        "k": k,
+        "verdict": _VERDICTS[type(verdict)][0],
+        "k": getattr(verdict, "k", None),
         "max_bound": max_bound,
-        "violations": [_violation_json(v) for v in violations],
+        "violations": [_violation_json(v) for v in getattr(verdict, "violations", ())],
         "stats": {
             "configurations": stats.configurations,
             "edges": stats.edges,
@@ -193,10 +191,7 @@ def _run_check(args) -> int:
         for k, v in verdict.bounded:
             print(f"  unverified finding at k={k}:")
             _print_violation(v, indent="  ")
-
-    if isinstance(verdict, Safe):
-        return 0
-    return 1 if isinstance(verdict, Unsafe) else 2
+    return _VERDICTS[type(verdict)][1]
 
 
 def _run_simulate(args) -> int:
@@ -233,6 +228,8 @@ def _run_export_dot(args) -> int:
             target = out_dir / f"{role}.dot"
             target.write_text(machine_to_dot(role, system.machines[role]), encoding="utf-8")
             print(str(target))
+    except BrokenPipeError:
+        raise  # standard output, not the directory; see `main`
     except OSError as exc:
         print(f"kmcheck export-dot: cannot write to {out_dir}: "
               f"{exc.strerror or exc}", file=sys.stderr)
@@ -242,14 +239,18 @@ def _run_export_dot(args) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    run = {"check": _run_check, "simulate": _run_simulate,
+           "export-dot": _run_export_dot}[args.command]
     try:
-        if args.command == "check":
-            return _run_check(args)
-        if args.command == "simulate":
-            return _run_simulate(args)
-        return _run_export_dot(args)
+        code = run(args)
+        sys.stdout.flush()  # a closed standard output fails here, not at exit
+        return code
     except SystemExit as exc:  # raised by _load with the right code
         return exc.code if isinstance(exc.code, int) else EX_USAGE
+    except BrokenPipeError:
+        print("kmcheck: cannot write to standard output: Broken pipe", file=sys.stderr)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # drop the buffered rest
+        return EX_IOERR
     except MemoryError:
         print(f"{args.file}: out of memory", file=sys.stderr)
         return EX_RESOURCE

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import itertools
 import random
 import tracemalloc
 
 import pytest
 
+from kmcheck import checker
 from kmcheck.checker import (
     EventualReceptionViolation,
     Inconclusive,
@@ -92,7 +94,7 @@ def test_deep_graph_is_settled_without_recursion():
                        tuple((i, receive("a", f"m{i}"), i + 1) for i in range(n)))
     system = System(("a", "b"), {"a": sender, "b": receiver})
     outcome = check_kmc_detailed(system, max_bound=1)
-    assert outcome.verdict == Safe(1, outcome.stats)
+    assert outcome.verdict == Safe(1)
     assert outcome.stats.configurations == 2 * n + 1
 
 
@@ -264,7 +266,14 @@ def test_bounds_are_tried_in_order():
     assert isinstance(outcome.verdict, Safe)
     assert outcome.verdict.k == 2
     assert outcome.stats.bounds_tried == (1, 2)
-    assert outcome.verdict.stats == outcome.stats
+
+
+def test_equal_checks_give_equal_verdicts(monkeypatch):
+    # a verdict holds only what was found, not how long it took
+    ticks = itertools.count()
+    monkeypatch.setattr(checker, "_ms", lambda started: next(ticks))
+    system = fixture_system("fib.kmc")
+    assert check_kmc(system) == check_kmc(system)
 
 
 def test_inconclusive_note_names_the_blockage():

@@ -11,7 +11,7 @@ import sys
 import jsonschema
 import pytest
 
-from kmcheck import cli
+from kmcheck import checker, cli
 from kmcheck.checker import Safe, check_kmc_detailed
 from kmcheck.cli import main
 from kmcheck.simulator import parse_trace, replay
@@ -173,6 +173,19 @@ def test_non_utf8_input_is_a_data_error(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"{binary}: not UTF-8 text\n"
+
+
+def test_a_byte_order_mark_is_not_part_of_the_text(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(checker, "_ms", lambda started: 0)
+    for fixture in sorted(FIXTURES.glob("*.kmc")):
+        marked = tmp_path / fixture.name
+        marked.write_bytes(b"\xef\xbb\xbf" + fixture.read_bytes())
+        runs = []
+        for path in (str(fixture), str(marked)):
+            code = main(["check", path])
+            out, err = capsys.readouterr()
+            runs.append((code, out.replace(path, "FILE"), err.replace(path, "FILE")))
+        assert runs[0] == runs[1], fixture.name
 
 
 def test_usage_errors_exit_64():
@@ -342,6 +355,28 @@ def test_export_dot_io_error(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith(f"kmcheck simulate: cannot write {trace}: ")
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [
+    ["check", FIB, "--json"], ["simulate", FIB], ["export-dot", FIB, "-o", "."],
+], ids=["check", "simulate", "export-dot"])
+def test_a_closed_standard_output_is_an_io_error(tmp_path, argv, unbuffered):
+    # buffered, the output fails when it is flushed; unbuffered, on the first print
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read, write = os.pipe()
+    os.close(read)  # every write to the pipe fails
+    try:
+        proc = subprocess.run([sys.executable, "-m", "kmcheck.cli", *argv],
+                              stdout=write, stderr=subprocess.PIPE, text=True,
+                              cwd=tmp_path, env=env)
+    finally:
+        os.close(write)
+    assert proc.returncode == 74
+    assert proc.stderr == "kmcheck: cannot write to standard output: Broken pipe\n"
 
 
 def test_written_files_are_utf8_whatever_the_locale(tmp_path):
