@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import time
 from array import array
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 from .model import Action, System
 from .semantics import DEFAULT_MAX_CONFIGS, BoundedGraph, Step, build_bounded_graph
@@ -53,7 +53,7 @@ from .semantics import DEFAULT_MAX_CONFIGS, BoundedGraph, Step, build_bounded_gr
 DEFAULT_MAX_BOUND = 10
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class ProgressViolation:
     """`role` can end up parked in receive state `state` with no way on."""
 
@@ -61,7 +61,7 @@ class ProgressViolation:
     state: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class EventualReceptionViolation:
     """A `label`/`sort` message from `sender` can rot unread in `receiver`'s queue."""
 
@@ -71,14 +71,14 @@ class EventualReceptionViolation:
     sort: str
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Violation:
     kind: ProgressViolation | EventualReceptionViolation
     witness: int
     trace: tuple[Step, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class CheckStats:
     configurations: int
     edges: int
@@ -86,18 +86,18 @@ class CheckStats:
     elapsed_ms: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Safe:
     k: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Unsafe:
     k: int
     violations: tuple[Violation, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Inconclusive:
     max_bound: int
     note: str
@@ -108,7 +108,7 @@ class Inconclusive:
 Verdict = Safe | Unsafe | Inconclusive
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class CheckOutcome:
     verdict: Verdict
     stats: CheckStats
@@ -270,7 +270,7 @@ def check_safety(system: System, graph: BoundedGraph) -> tuple[Violation, ...]:
         for node, kind in best.values()]
     violations.sort(key=lambda v: (
         len(v.trace), v.witness, v.kind.__class__.__name__,
-        tuple(str(x) for x in vars(v.kind).values())))
+        tuple(str(x) for x in astuple(v.kind))))
     return tuple(violations)
 
 

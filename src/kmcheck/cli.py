@@ -72,6 +72,11 @@ def build_parser() -> _Parser:
     return parser
 
 
+# built once per process: `main` may be called many times, and parsing leaves
+# the parser as it was
+_PARSER = build_parser()
+
+
 def _load(path: str):
     try:
         text = pathlib.Path(path).read_text(encoding="utf-8-sig")
@@ -238,7 +243,7 @@ def _run_export_dot(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     run = {"check": _run_check, "simulate": _run_simulate,
            "export-dot": _run_export_dot}[args.command]
     try:

@@ -50,13 +50,13 @@ class SourceSpan(NamedTuple):
     column: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class ParseError:
     span: SourceSpan
     message: str
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class ValidationError:
     span: SourceSpan
     message: str

@@ -32,7 +32,7 @@ class Direction(Enum):
 _SEND = Direction.SEND
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Action:
     """One communication: `peer!label<sort>` (send) or `peer?label<sort>`."""
 
@@ -55,7 +55,7 @@ class Action:
 Message = tuple[str, str]  # (label, sort): what one queue slot holds
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Step:
     """One transition taken by one role."""
 
@@ -82,30 +82,30 @@ def receive(peer: str, label: str, sort: str = DEFAULT_SORT) -> Action:
 # equal.
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class End:
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class RecVar:
     var: str
     span: SourceSpan | None = field(default=None, compare=False, repr=False)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Branch:
     action: Action
     tail: "LocalType"
     span: SourceSpan | None = field(default=None, compare=False, repr=False)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Choice:
     branches: tuple[Branch, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class RecBinder:
     var: str
     body: "LocalType"
@@ -471,7 +471,7 @@ class Severity(Enum):
     LINT = "lint"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Diagnostic:
     severity: Severity
     code: str

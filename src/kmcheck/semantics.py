@@ -40,7 +40,7 @@ from .model import Message, Step, System
 DEFAULT_MAX_CONFIGS = 1_000_000  # the cap on configurations kept per bound
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Configuration:
     """A global snapshot: one machine state per role plus each channel's queue.
 

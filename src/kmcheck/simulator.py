@@ -25,7 +25,7 @@ class Outcome(Enum):
     BUDGET_EXHAUSTED = "budget exhausted"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class RunResult:
     outcome: Outcome
     final: Configuration

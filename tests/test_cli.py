@@ -203,6 +203,32 @@ def test_non_positive_bounds_are_usage_errors(capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_in_process_calls_do_not_affect_each_other(tmp_path, capsys, monkeypatch):
+    # every call parses with the one parser the module builds: no option of
+    # one call may carry over into the next, in either order
+    monkeypatch.setattr(checker, "_ms", lambda started: 0)
+    calls = [
+        ["check", FLOOD, "--no-such-flag"],
+        ["check", FLOOD, "--json", "--max-bound", "1", "--report-bounded-violations"],
+        ["check", FLOOD],
+        ["simulate", FLOOD],
+        ["export-dot", FLOOD, "-o", str(tmp_path)],
+    ]
+
+    def run(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        return (code, *capsys.readouterr())
+
+    forward = [run(argv) for argv in calls]
+    backward = [run(argv) for argv in reversed(calls)][::-1]
+    assert [code for code, _, _ in forward] == [64, 2, 2, 2, 0]
+    assert forward == backward
+    assert "inconclusive up to k=10" in forward[2][1]
+
+
 def _json_report(capsys, *argv):
     code = main(["check", "--json", *argv])
     out, err = capsys.readouterr()

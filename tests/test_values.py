@@ -1,4 +1,4 @@
-"""The public value classes: their `repr`, equality and hashing.
+"""The public value classes: their `repr`, equality, hashing and slots.
 
 One instance of each is built twice, so the two are equal but not the same
 object.  Only hash equality is pinned, never a hash value, which may change
@@ -138,6 +138,17 @@ def test_repr_equality_and_hash(name, make):
     assert one == other
     assert not one != other
     assert hash(one) == hash(other)
+
+
+SLOTTED = [(name, make) for name, make in BUILDERS if name != "Machine"]  # caches in its __dict__
+
+
+@pytest.mark.parametrize("name, make", SLOTTED, ids=[name for name, _ in SLOTTED])
+def test_value_classes_are_slotted(name, make):
+    value = make()
+    assert not hasattr(value, "__dict__")
+    with pytest.raises(AttributeError):
+        value.no_such_field = 1
 
 
 def test_every_public_value_class_is_pinned():
