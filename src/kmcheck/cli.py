@@ -72,8 +72,9 @@ def build_parser() -> _Parser:
     return parser
 
 
-# built once per process: `main` may be called many times, and parsing leaves
-# the parser as it was
+# built once per process, at import: a one-shot `kmcheck` run pays for it as
+# before, a caller that runs `main` many times in one process pays once;
+# parsing leaves the parser as it was
 _PARSER = build_parser()
 
 
