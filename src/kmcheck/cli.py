@@ -31,17 +31,10 @@ EX_CRASH = 71  # a fault in kmcheck itself: not a verdict
 EX_IOERR = 74
 
 
-class _Parser(argparse.ArgumentParser):
-    # argparse exits with 2 on bad usage; the contract here is 64
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(EX_USAGE, f"{self.prog}: error: {message}\n")
-
-
-def build_parser() -> _Parser:
-    parser = _Parser(prog="kmcheck", description="Bounded compatibility checking "
-                     "for asynchronous message-passing protocols.")
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog="kmcheck", description="Bounded compatibility "
+                                     "checking for asynchronous message-passing protocols.")
+    sub = parser.add_subparsers(dest="command", required=True)
 
     check = sub.add_parser("check", help="find the least safe bound or a counterexample")
     check.add_argument("file", help="protocol description to check")
@@ -244,7 +237,10 @@ def _run_export_dot(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = _PARSER.parse_args(argv)
+    try:
+        args = _PARSER.parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help
+        return EX_USAGE if exc.code else 0
     run = {"check": _run_check, "simulate": _run_simulate,
            "export-dot": _run_export_dot}[args.command]
     try:
@@ -252,7 +248,7 @@ def main(argv=None) -> int:
         sys.stdout.flush()  # a closed standard output fails here, not at exit
         return code
     except SystemExit as exc:  # raised by _load with the right code
-        return exc.code if isinstance(exc.code, int) else EX_USAGE
+        return exc.code
     except BrokenPipeError:
         print("kmcheck: cannot write to standard output: Broken pipe", file=sys.stderr)
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # drop the buffered rest

@@ -49,17 +49,16 @@ def simulate(
     """One random run under queue bound `bound` (None = unbounded queues).
 
     A system that `validate_system` reports errors for raises `ValueError`,
-    as does a `bound` below 1 once a step is looked for; lints pass.
+    as does a `bound` below 1; lints pass.
     """
     rng = random.Random(seed)
     cfg = initial_configuration(system)
     trace: list[Step] = []
     while True:
-        if is_terminated(system, cfg):
-            return RunResult(Outcome.TERMINATED, cfg, tuple(trace), len(trace))
         options = enabled_steps(system, cfg, bound)
-        if not options:
-            return RunResult(Outcome.DEADLOCKED, cfg, tuple(trace), len(trace))
+        if not options:  # a terminated run has no step either
+            ended = Outcome.TERMINATED if is_terminated(system, cfg) else Outcome.DEADLOCKED
+            return RunResult(ended, cfg, tuple(trace), len(trace))
         if len(trace) >= max_steps:
             return RunResult(Outcome.BUDGET_EXHAUSTED, cfg, tuple(trace), len(trace))
         step, cfg = options[rng.randrange(len(options))]
@@ -90,10 +89,11 @@ def replay(
     `enabled_steps` offers it.  Raises `ReplayError` at the first step that
     cannot be taken, so a trace accepted by replay is a genuine execution
     under the given bound.  A system that `validate_system` reports errors
-    for raises `ValueError`, as does a `bound` below 1 once a step is
-    taken; lints pass.
+    for raises `ValueError`, as does a `bound` below 1; lints pass.
     """
     cfg = initial_configuration(system)
+    if bound is not None and bound < 1:
+        raise ValueError("bound must be at least 1")
     for i, step in enumerate(trace):
         role, a = step.role, step.action
         if role not in system.role_index or a.peer not in system.role_index:

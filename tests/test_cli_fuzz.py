@@ -1,17 +1,19 @@
-"""Seeded fuzzing of `kmcheck check`: whatever the input, flags or
-environment, the exit code is one the README documents and no Python
-traceback reaches stderr.
+"""Seeded fuzzing of the `kmcheck` command line: whatever the input, flags
+or environment, `cli.main` returns an exit code that the README's table
+documents and no Python traceback reaches stderr.
 
 Inputs: random bytes, token soups, mutated fixtures, deep `rec` and brace
-nests, out-of-range `--max-bound`/`--max-configs` values and odd
-`KMC_MAX_CONFIGS` values.  Every call runs in-process through `cli.main`
-with small caps, so the whole file stays within a few CPU seconds.
+nests, out-of-range `--max-bound`/`--max-configs` values, odd
+`KMC_MAX_CONFIGS` values, odd `simulate` and `export-dot` flags, unknown
+subcommands and help requests.  Every call runs in-process through
+`cli.main` with small caps, so the whole file stays within a few CPU seconds.
 """
 from __future__ import annotations
 
 import contextlib
 import io
 import random
+import re
 import time
 
 import pytest
@@ -20,20 +22,25 @@ from kmcheck import cli
 
 from conftest import FIXTURES
 
-README_EXIT_CODES = {0, 1, 2, 64, 65, 70, 71, 74}
+
+def _readme_exit_codes() -> set[int]:
+    """The codes in the README's exit-code table."""
+    readme = (FIXTURES.parent.parent / "README.md").read_text(encoding="utf-8")
+    (table,) = re.findall(r"^### Exit codes\n(.*?)^#", readme, re.M | re.S)
+    return {int(code) for code in re.findall(r"^\| *(\d+) *\|", table, re.M)}
+
+
+README_EXIT_CODES = _readme_exit_codes()
 TOKENS = ("role", "rec", "end", "or", "{", "}", ";", ":", ".", "!", "?", "<", ">",
           "p", "q", "r", "t", "x", "ack", "int", "//", "\n", " ", "\t", "é", "0", "_")
 SMALL_CAPS = ["--max-bound", "3", "--max-configs", "2000"]
 
 
-def _check(path, *flags: str) -> tuple[int, str]:
-    """Exit code and stderr of `kmcheck check PATH FLAGS...`."""
+def _run(*argv: str) -> tuple[int, str]:
+    """Exit code and stderr of `kmcheck ARGV...`."""
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        try:
-            code = cli.main(["check", str(path), *flags])
-        except SystemExit as exc:  # argparse rejects the command line
-            code = exc.code
+        code = cli.main(list(argv))
     return code, err.getvalue()
 
 
@@ -88,8 +95,8 @@ def test_random_inputs_exit_with_documented_codes(tmp_path):
     for name, data in _inputs(rng):
         path = tmp_path / f"{name}.kmc"
         path.write_bytes(data)
-        code, stderr = _check(path, *SMALL_CAPS, *rng.choice(([], ["--json"],
-                                                              ["--report-bounded-violations"])))
+        code, stderr = _run("check", str(path), *SMALL_CAPS,
+                            *rng.choice(([], ["--json"], ["--report-bounded-violations"])))
         _assert_documented(code, stderr)
         seen.add(code)
     # the inputs reach verdicts as well as parse errors
@@ -97,16 +104,37 @@ def test_random_inputs_exit_with_documented_codes(tmp_path):
     assert time.process_time() - started < 5.0
 
 
-@pytest.mark.parametrize("flags", [
+CHECK_FLAGS = [
     ["--max-bound", "0"], ["--max-bound", "-1"], ["--max-bound", "x"],
     ["--max-bound", ""], ["--max-bound", "1e3"], ["--max-bound", "2" * 30, "--max-configs", "50"],
     ["--max-configs", "0"], ["--max-configs", "-5"], ["--max-configs", "1"],
     ["--max-configs", "9" * 40], ["--max-configs", "0x10"], ["--max-bound"],
     ["--bogus"], ["--json", "--json"],
-], ids=repr)
-def test_out_of_range_flags_exit_with_documented_codes(flags):
-    for path in (FIXTURES / "fib.kmc", FIXTURES / "flood.kmc"):
-        _assert_documented(*_check(path, *flags))
+]
+# command lines beyond `check`: "FILE" stands for the input and "OUT" for a
+# directory under the test's tmp_path
+OTHER_ARGVS = [
+    *(["simulate", "FILE", *flags] for flags in (
+        ["--bound", "0"], ["--bound", "-1"], ["--bound", "x"], ["--bound", ""],
+        ["--bound", "9" * 40], ["--seed", "-5"], ["--seed", "9" * 40], ["--seed", "x"],
+        ["--steps", "0"], ["--steps", "-1"], ["--steps", "1000"], ["--steps", "1e3"],
+        ["--steps"], ["--trace"], ["--bogus"])),
+    ["export-dot", "FILE", "-o"], ["export-dot", "FILE", "-o", "OUT"], ["export-dot"],
+    ["bogus"], ["bogus", "FILE"], [], ["-h"], ["--help"], ["check", "-h"],
+    ["simulate", "--help"], ["export-dot", "-h"],
+]
+
+
+@pytest.mark.parametrize("argv", [
+    *(pytest.param(["check", "FILE", *flags], id=repr(flags)) for flags in CHECK_FLAGS),
+    *(pytest.param(argv, id=repr(argv)) for argv in OTHER_ARGVS),
+])
+def test_out_of_range_flags_exit_with_documented_codes(argv, tmp_path):
+    # `simulate` runs a system that terminates and one that deadlocks at once
+    names = ("solo.kmc", "orphan.kmc") if argv[:1] == ["simulate"] else ("fib.kmc", "flood.kmc")
+    for name in names:
+        fill = {"FILE": str(FIXTURES / name), "OUT": str(tmp_path / "out")}
+        _assert_documented(*_run(*(fill.get(arg, arg) for arg in argv)))
 
 
 @pytest.mark.parametrize("value", [
@@ -116,4 +144,4 @@ def test_out_of_range_flags_exit_with_documented_codes(flags):
 def test_odd_config_caps_from_environment_exit_with_documented_codes(monkeypatch, value):
     monkeypatch.setenv("KMC_MAX_CONFIGS", value)
     for path in (FIXTURES / "fib.kmc", FIXTURES / "flood.kmc"):
-        _assert_documented(*_check(path, "--max-bound", "4"))
+        _assert_documented(*_run("check", str(path), "--max-bound", "4"))

@@ -181,13 +181,17 @@ def test_replay_rejects_send_past_the_bound():
 
 @pytest.mark.parametrize("bound", [0, -1])
 def test_a_bound_below_one_is_rejected(bound):
-    # a queue of no slots would leave the sender nothing to do
+    # a queue of no slots would leave the sender nothing to do; the bound is
+    # refused whether or not the system has a step to take
     system = fixture_system("handshake.kmc")
+    solo = fixture_system("solo.kmc")  # terminated from the start
     trace = simulate(system, bound=1).trace
-    with pytest.raises(ValueError, match="^bound must be at least 1$"):
-        simulate(system, bound)
-    with pytest.raises(ValueError, match="^bound must be at least 1$"):
-        replay(system, trace, bound)
+    for target in (system, solo):
+        with pytest.raises(ValueError, match="^bound must be at least 1$"):
+            simulate(target, bound)
+    for target, steps in ((system, trace), (system, ()), (solo, ())):
+        with pytest.raises(ValueError, match="^bound must be at least 1$"):
+            replay(target, steps, bound)
     assert replay(system, trace, None) == simulate(system, None).final
 
 
