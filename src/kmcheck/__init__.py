@@ -57,6 +57,7 @@ from .model import (
 from .semantics import (
     BoundedGraph,
     Configuration,
+    HopelessSend,
     ResourceExhausted,
     Step,
     apply_step,

@@ -10,9 +10,16 @@ reachability graph:
   queued message can still be consumed on some continuation (eventual
   reception).
 
-The least such `k` is found by simply trying k = 1, 2, ... and stopping at
-the first bound with full send coverage; its safety check then settles the
-verdict.
+The least such `k` is found by trying k = 1, 2, ... and stopping at the
+first bound with full send coverage; its safety check then settles the
+verdict.  A bound below the last only has to show whether it covers every
+send, so its exploration stops at the first hopeless send: a full queue
+whose receiver's machine has no path from its state to a receive on that
+queue.  Only that receive makes room, so the send stays starved on every
+continuation and the bound cannot cover (`semantics.HopelessSend`).  The
+bound that settles the verdict never meets one, and the last bound, like
+every bound whose safety findings are collected as hints, is explored in
+full; so verdicts and statistics do not depend on the shortcut.
 
 Both safety properties say "from every reachable configuration, some event
 can still happen" (CTL `AG EF`), so one pass settles all of them.  Each edge
@@ -48,7 +55,13 @@ from array import array
 from dataclasses import astuple, dataclass
 
 from .model import Action, System
-from .semantics import DEFAULT_MAX_CONFIGS, BoundedGraph, Step, build_bounded_graph
+from .semantics import (
+    DEFAULT_MAX_CONFIGS,
+    BoundedGraph,
+    HopelessSend,
+    Step,
+    build_bounded_graph,
+)
 
 DEFAULT_MAX_BOUND = 10
 
@@ -236,11 +249,22 @@ def check_safety(system: System, graph: BoundedGraph) -> tuple[Violation, ...]:
                     push(u)
             e = prev_in[e]
 
-    # a state is a receive state when its first transition is a receive
-    receiving = [{state for state, rows in by_state.items() if not rows[0][4]}
-                 for by_state in system.step_table]
-    channels = [(first + j, j, sender, receiver, system.role_index[receiver])
-                for j, (sender, receiver) in enumerate(system.channels)]
+    # Per role: its bit, field and the codes of its receive states (a state
+    # is one when its first transition is a receive).  Per channel: its bit,
+    # its queue field and head mask, and the receiver's field.
+    states = graph.states
+    role_rows = []
+    for ri, (role, by_state, (shift, mask)) in enumerate(
+            zip(roles, system.step_table, graph.role_fields)):
+        receiving = {code for code, state in enumerate(states[ri])
+                     if (rows := by_state.get(state)) and not rows[0][4]}
+        role_rows.append((ri, role, shift, mask, receiving, states[ri]))
+    channels = []
+    for j, (sender, receiver) in enumerate(system.channels):
+        (shift, b), qi = graph.queue_fields[j], system.role_index[receiver]
+        channels.append((first + j, shift, (2 << graph.k * b) - 1, (1 << b) - 1,
+                         *graph.role_fields[qi], states[qi], graph.messages[j],
+                         sender, receiver))
     # Nodes are numbered in BFS order, so the first witness of a key is at
     # its smallest depth.
     best: dict[tuple, tuple[int, object]] = {}
@@ -248,20 +272,22 @@ def check_safety(system: System, graph: BoundedGraph) -> tuple[Violation, ...]:
         if bits == full:
             continue
         cfg = configs[i]
-        for ri, role in enumerate(roles):
+        for ri, role, shift, mask, receiving, role_states in role_rows:
             if not bits >> ri & 1:
-                state = graph.state(cfg, ri)
-                if state in receiving[ri]:
-                    key = ("progress", role, state)
+                code = cfg >> shift & mask
+                if code in receiving:
+                    key = ("progress", role, role_states[code])
                     if key not in best:
-                        best[key] = (i, ProgressViolation(role, state))
-        for bit, j, sender, receiver, qi in channels:
+                        best[key] = (i, ProgressViolation(role, role_states[code]))
+        for bit, shift, field, head, peer_shift, peer_mask, peer_states, messages, \
+                sender, receiver in channels:
             if not bits >> bit & 1:
-                queue = graph.queue(cfg, j)
-                if queue:
-                    key = ("reception", sender, receiver, graph.state(cfg, qi))
+                q = cfg >> shift & field
+                if q > 1:  # the sentinel alone is the empty queue
+                    key = ("reception", sender, receiver,
+                           peer_states[cfg >> peer_shift & peer_mask])
                     if key not in best:
-                        label, sort = queue[0]
+                        label, sort = messages[q & head]
                         best[key] = (i, EventualReceptionViolation(
                             sender, receiver, label, sort))
 
@@ -286,7 +312,9 @@ def check_kmc_detailed(
     Returns the verdict together with exploration statistics for the bound
     that settled it (or the last bound tried, when inconclusive).  With
     `collect_bounded`, safety findings from non-covering bounds are attached
-    to an inconclusive verdict as unverified hints.  A system that
+    to an inconclusive verdict as unverified hints.  `ResourceExhausted`
+    comes from the first bound whose exploration outgrows `max_configs`; a
+    bound that stops at a hopeless send first does not.  A system that
     `validate_system` reports errors for raises `ValueError`; lints pass.
     """
     if max_bound < 1:
@@ -294,7 +322,13 @@ def check_kmc_detailed(
     started = time.perf_counter()
     hints: dict = {}  # violation kind -> (the first bound that found it, violation)
     for k in range(1, max_bound + 1):
-        graph = build_bounded_graph(system, k, max_configs)
+        try:
+            # below the last bound, and without hints to collect, a bound
+            # only has to show whether it covers every send
+            graph = build_bounded_graph(system, k, max_configs,
+                                        stop_at_hopeless=k < max_bound and not collect_bounded)
+        except HopelessSend:
+            continue
         size = (len(graph.configs), len(graph.src))
         obligations = check_exhaustive(system, graph)
         if not obligations:

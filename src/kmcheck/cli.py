@@ -2,6 +2,8 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import pathlib
@@ -236,13 +238,23 @@ def _run_export_dot(args) -> int:
     return 0
 
 
+def _run_help(text: str) -> int:
+    sys.stdout.write(text)
+    return 0
+
+
 def main(argv=None) -> int:
     try:
-        args = _PARSER.parse_args(argv)
+        # argparse drops a failed write of the help text, so it is written
+        # below, where a closed standard output is caught
+        with contextlib.redirect_stdout(io.StringIO()) as shown:
+            args = _PARSER.parse_args(argv)
+        run = {"check": _run_check, "simulate": _run_simulate,
+               "export-dot": _run_export_dot}[args.command]
     except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help
-        return EX_USAGE if exc.code else 0
-    run = {"check": _run_check, "simulate": _run_simulate,
-           "export-dot": _run_export_dot}[args.command]
+        if exc.code:
+            return EX_USAGE
+        args, run = shown.getvalue(), _run_help  # the text in place of parsed arguments
     try:
         code = run(args)
         sys.stdout.flush()  # a closed standard output fails here, not at exit

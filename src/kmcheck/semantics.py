@@ -25,7 +25,9 @@ each edge's source and step id, grouped by source; a chain through the
 edges into each node, for the backward walks; the nodes where a send found
 its queue full, per channel; and the edge that discovered each node.
 `BoundedGraph.nodes`, `.edges` and `.parent` show the graph as
-`Configuration`s and `Step`s.
+`Configuration`s and `Step`s.  On request it stops instead at the first
+node where a send finds its queue full and the receiver can never receive
+on it again (`HopelessSend`): such a bound leaves a send starved.
 """
 from __future__ import annotations
 
@@ -63,6 +65,23 @@ class ResourceExhausted(RuntimeError):
         self.configs_seen = configs_seen
         self.k = k
         self.cap = cap
+
+
+class HopelessSend(Exception):
+    """Exploration at bound `k` met node `node`, where a send on `channel`
+    (a (sender, receiver) pair) finds the queue full and the receiver's
+    machine has no path from its state to a receive on the channel.  Only
+    that receive makes room, so the queue stays full on every continuation
+    and the bound leaves the send starved.  `configs_seen` configurations
+    had been kept."""
+
+    def __init__(self, node: int, channel: tuple[str, str], k: int, configs_seen: int):
+        super().__init__(f"exploration at k={k} stopped at node {node}: the queue "
+                         f"{channel[0]}->{channel[1]} stays full for good")
+        self.node = node
+        self.channel = channel
+        self.k = k
+        self.configs_seen = configs_seen
 
 
 def initial_configuration(system: System) -> Configuration:
@@ -266,11 +285,13 @@ class BoundedGraph:
 BLOCK_BITS = 10  # the widest span of role fields that one lookup table covers
 
 
-def _pack(system: System, k: int):
+def _pack(system: System, k: int, configs: list[int] | None = None):
     """The packed layout under bound `k` (the `BoundedGraph` fields from
     `states` to `blocked`, in order; each `blocked` list still empty) and
     the successor groups `build_bounded_graph` fires, both derived from
-    `system.step_table`.
+    `system.step_table`.  Given `configs`, the list the explorer fills, a
+    full queue whose receiver can never receive on it again raises
+    `HopelessSend` (see `_hopeless_note`).
 
     The groups of role `ri` in the state of code `c` are `groups[ri][c]`:
     each maximal run of the state's transitions on one channel is one
@@ -280,7 +301,8 @@ def _pack(system: System, k: int):
     below `limit`, its full value; pushing on top of the sentinel at bit `n`
     adds `push << n`, which writes the code and moves the sentinel `b` bits
     up.  When the field is full, `note` (the channel's `blocked` list's
-    append, or None on a later run on the same channel) records the node.
+    append or its `_hopeless_note`, None on a later run on the same channel)
+    records the node.
     A receive group's rows map a head code (the field's bits under `limit`)
     to the one row that pops it, (role delta, 0, step id); a valid state
     receives each message from a peer at most once, so one lookup keeps
@@ -305,6 +327,12 @@ def _pack(system: System, k: int):
         queue_fields.append((shift, b))
         shift += k * b + 1
     blocked = tuple(array("i") for _ in codes)
+    notes = [by_node.append for by_node in blocked]
+    if configs is not None:
+        for j, hopeless in _hopeless(system, states).items():
+            ri = system.role_index[system.channels[j][1]]
+            notes[j] = _hopeless_note(notes[j], configs, role_fields[ri], hopeless,
+                                      system.channels[j], k)
 
     # per channel: the first five group items of a receive and of a
     # send run, and what a push adds to a code to move the sentinel up
@@ -333,7 +361,7 @@ def _pack(system: System, k: int):
                     last, run, note = j, [] if is_send else {}, None
                     if is_send and j not in noted:
                         noted.add(j)
-                        note = blocked[j].append
+                        note = notes[j]
                     here.append(heads[j][is_send] + (run, note))
                 if is_send:
                     run.append((delta, code + bumps[j], sid))
@@ -345,6 +373,57 @@ def _pack(system: System, k: int):
               tuple(tuple(by_message) for by_message in codes), tuple(steps), tuple(effects),
               blocked)
     return layout, tuple(groups)
+
+
+def _hopeless(system: System, states: tuple[tuple[int, ...], ...]) -> dict[int, set[int]]:
+    """Per channel whose receiver has states with no path to a receive on
+    it, the codes of those states (indices into `states[ri]`).  The
+    backward walk over the receiver's transitions runs only for a channel
+    that some state of the receiver does not receive on."""
+    table, hopeless = system.step_table, {}
+    by_receiver: dict[int, list[int]] = {}
+    for j, (_, receiver) in enumerate(system.channels):
+        by_receiver.setdefault(system.role_index[receiver], []).append(j)
+    for ri, channels in by_receiver.items():
+        receiving: dict[int, set[int]] = {j: set() for j in channels}
+        for state, rows in table[ri].items():
+            for _, _, j, _, is_send in rows:
+                if not is_send and j is not None:
+                    receiving[j].add(state)
+        preds: dict[int, list[int]] = {}
+        for j, can in receiving.items():
+            if len(can) == len(states[ri]):
+                continue  # every state receives on j
+            if not preds:
+                for state, rows in table[ri].items():
+                    for row in rows:
+                        preds.setdefault(row[1], []).append(state)
+            work = list(can)
+            for state in work:
+                for p in preds.get(state, ()):
+                    if p not in can:
+                        can.add(p)
+                        work.append(p)
+            codes = {c for c, state in enumerate(states[ri]) if state not in can}
+            if codes:
+                hopeless[j] = codes
+    return hopeless
+
+
+def _hopeless_note(append, configs: list[int], field: tuple[int, int], hopeless: set[int],
+                   channel: tuple[str, str], k: int) -> Callable[[int], None]:
+    """A channel's `note`: records node `u` with `append`, unless the
+    receiver's state code there (`field` locates it) is in `hopeless`, the
+    codes of the states with no path to a receive on the channel: then the
+    queue stays full for good, and it raises `HopelessSend`."""
+    shift, mask = field
+
+    def note(u: int) -> None:
+        if configs[u] >> shift & mask in hopeless:
+            raise HopelessSend(u, channel, k, len(configs))
+        append(u)
+
+    return note
 
 
 def _blocks(role_fields, groups) -> list[tuple[int, int, Sequence]]:
@@ -379,24 +458,30 @@ def _blocks(role_fields, groups) -> list[tuple[int, int, Sequence]]:
 
 
 def build_bounded_graph(
-    system: System, k: int, max_configs: int = DEFAULT_MAX_CONFIGS,
+    system: System, k: int, max_configs: int = DEFAULT_MAX_CONFIGS, *,
+    stop_at_hopeless: bool = False,
 ) -> BoundedGraph:
     """Breadth-first exploration of every configuration reachable under `k`.
 
     Takes the same steps as `enabled_steps`, in the same order.  Raises
     `ResourceExhausted` once more than `max_configs` distinct
-    configurations would have to be kept.
+    configurations would have to be kept.  With `stop_at_hopeless`, raises
+    `HopelessSend` at the first node where a send finds its queue full and
+    the receiver can never receive on that channel again: such a bound
+    cannot account for every send (`checker.check_exhaustive` would list
+    the node), so a caller that only asks whether it can stops there.
     """
     if k < 1:
         raise ValueError("bound must be at least 1")
     if max_configs < 1:
         raise ValueError("max_configs must be at least 1")
-    layout, groups = _pack(system, k)
+    configs: list[int] = []
+    layout, groups = _pack(system, k, configs if stop_at_hopeless else None)
     states, role_fields, queue_fields = layout[:3]
     init = sum(by_code.index(system.machines[r].initial) << shift
                for r, by_code, (shift, _) in zip(system.roles, states, role_fields))
     init += sum(1 << shift for shift, _ in queue_fields)
-    configs = [init]
+    configs.append(init)
     seen = {init: 0}
     src, step_id, prev_in = array("i"), array("i"), array("i")
     last_in, parent_edge = array("i", [-1]), array("i", [-1])

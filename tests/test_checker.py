@@ -23,6 +23,7 @@ from kmcheck.dsl import parse_system
 from kmcheck.model import Action, Direction, Machine, System, receive, send
 from kmcheck.semantics import (
     Configuration,
+    HopelessSend,
     Step,
     apply_step,
     build_bounded_graph,
@@ -57,6 +58,64 @@ def test_flood_never_covers_its_sends():
         assert obligations
         assert {role for _, role, _ in obligations} == {"a", "b"}
         assert all(a.direction is Direction.SEND for _, _, a in obligations)
+
+
+def _count_configurations(monkeypatch) -> dict[int, tuple[str, int]]:
+    """Per bound the checker explores: ("stopped", configurations kept) or
+    ("full", configurations)."""
+    sizes = {}
+    build = checker.build_bounded_graph
+
+    def counting(system, k, *args, **kwargs):
+        try:
+            graph = build(system, k, *args, **kwargs)
+        except HopelessSend as stop:
+            sizes[k] = ("stopped", stop.configs_seen)
+            raise
+        sizes[k] = ("full", len(graph.configs))
+        return graph
+
+    monkeypatch.setattr(checker, "build_bounded_graph", counting)
+    return sizes
+
+
+def test_flood_stops_each_bound_below_the_last_at_a_hopeless_send(monkeypatch):
+    # At bound k the flood's graph holds (k+1)^2 configurations.  Neither
+    # role ever receives, so the first full queue stays full: exploration
+    # stops there, at the first node of depth k, with the (k+1)(k+2)/2
+    # configurations of depths 0..k kept.  The last bound is explored in full.
+    sizes = _count_configurations(monkeypatch)
+    outcome = check_kmc_detailed(fixture_system("flood.kmc"), max_bound=10)
+    assert sizes == {**{k: ("stopped", (k + 1) * (k + 2) // 2) for k in range(1, 10)},
+                     10: ("full", 121)}
+    assert isinstance(outcome.verdict, Inconclusive)
+    assert outcome.stats.bounds_tried == tuple(range(1, 11))
+    assert outcome.stats.configurations == 121
+    assert "at k=10, 22 pending send(s)" in outcome.verdict.note
+
+
+def test_unverified_findings_come_from_full_graphs(monkeypatch):
+    # hints are read off whole graphs, so collecting them explores every bound
+    sizes = _count_configurations(monkeypatch)
+    system = fixture_system("flood.kmc")
+    verdict = check_kmc_detailed(system, max_bound=4, collect_bounded=True).verdict
+    assert sizes == {k: ("full", (k + 1) ** 2) for k in range(1, 5)}
+    hints = {}
+    for k in range(1, 5):
+        for v in check_safety(system, build_bounded_graph(system, k)):
+            hints.setdefault(v.kind, (k, v))
+    assert verdict.bounded == tuple(hints.values())
+
+
+def test_a_bound_that_can_cover_is_explored_in_full():
+    # prefetch's receiver can always still take an item: nothing is
+    # hopeless, so a stopping build is the full graph
+    system = fixture_system("prefetch.kmc")
+    for k in (1, 2):
+        graph = build_bounded_graph(system, k, stop_at_hopeless=True)
+        full = build_bounded_graph(system, k)
+        assert (graph.configs, graph.src, graph.step_id, graph.blocked) \
+            == (full.configs, full.src, full.step_id, full.blocked)
 
 
 def test_prefetch_needs_two_slots():

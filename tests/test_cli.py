@@ -267,6 +267,11 @@ def test_config_cap_from_environment(capsys, monkeypatch):
     assert main(["check", FIB]) == 70
     assert capsys.readouterr().err == (
         f"{FIB}: exploration at k=1 stopped after 10 configurations (cap 10)\n")
+    # the cap line names the bound whose full exploration hit the cap: flood's
+    # bounds 1-3 stop at a hopeless send before their 10th configuration
+    assert main(["check", FLOOD]) == 70
+    assert capsys.readouterr().err == (
+        f"{FLOOD}: exploration at k=4 stopped after 10 configurations (cap 10)\n")
     # an explicit flag wins over the environment
     assert main(["check", FIB, "--max-configs", "1000000"]) == 0
     monkeypatch.setenv("KMC_MAX_CONFIGS", "lots")
@@ -378,7 +383,8 @@ def test_export_dot_io_error(tmp_path, capsys):
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
 @pytest.mark.parametrize("argv", [
     ["check", FIB, "--json"], ["simulate", FIB], ["export-dot", FIB, "-o", "."],
-], ids=["check", "simulate", "export-dot"])
+    ["--help"], ["check", "--help"],
+], ids=["check", "simulate", "export-dot", "help", "check-help"])
 def test_a_closed_standard_output_is_an_io_error(tmp_path, argv, unbuffered):
     # buffered, the output fails when it is flushed; unbuffered, on the first print
     env = {**os.environ, "PYTHONPATH": str(SRC)}
