@@ -21,37 +21,33 @@ bound that settles the verdict never meets one, and the last bound, like
 every bound whose safety findings are collected as hints, is explored in
 full; so verdicts and statistics do not depend on the shortcut.
 
-Both safety properties say "from every reachable configuration, some event
-can still happen" (CTL `AG EF`), so one pass settles all of them.  Each edge
-carries an event bitmask: one bit per role ("the role moves") and one per
-channel ("the channel's head is consumed"), a channel being a pair some role
-sends on (`System.channels`).  Each node starts with no bits, and one
-backward worklist, seeded with every node, ORs each edge's bits and its
-target's into the edge's source and queues that source again when its bits
-grew.  At the fixpoint each node holds the OR over everything it can reach.
-A node is queued again only when it gains a bit, so it is popped at most
-once per event bit plus once, and each edge is read as often:
-O((roles + channels) * edges) at worst, one or two pops per node on large
-safe graphs.  Only configurations whose mask lacks some bit can witness a
-violation.
+All three properties say "from every reachable configuration, some event
+can still happen" (CTL `AG EF`), so one backward pass settles them all:
+`BoundedGraph.reach` gives each node the events it can reach, as bits (its
+docstring gives the layout and the pass), and whichever check reads it
+first builds it.  The pass queues a node again only when it gains a bit, so
+it pops a node at most once per event bit plus once and reads each edge as
+often: O((roles + 2 * channels) * edges) at worst, a channel being a pair
+some role sends on (`System.channels`), and one or two pops per node on
+large safe graphs.
 
-Send coverage checks each channel on its own, but only where it can fail:
-at candidate nodes, where the sender has a send on the channel and its
-queue is full.  The explorer lists them as it meets them, per channel.
-Among them the seeds are those where the receiver can pop the queue's head:
-only that receive makes room, so the seeds are met in one step.  Backwards
-from the seeds, one worklist over the edges of the other roles meets the
-rest; such an edge keeps the sender's state and the full queue, so it only
-ever meets candidates, and the walk stops once none is left unmet.  A
-channel without candidates costs nothing.  Both checks are iterative and
-read the graph's columns (`BoundedGraph`) directly: the bit fields of each
-configuration, the edges grouped by source, and the chain of edges into
-each node, which the explorer links as it adds them.
+The events: a role moves; a channel's head is consumed; and a channel's
+head is consumed before its sender moves.  A role in a receive state has
+progress where it can still move, and a queued message is eventually
+received where its channel's head can still be consumed, so only a node
+whose bits lack one of the first two kinds can witness a violation.  A
+send can be starved only at a candidate node, where the sender has a send
+on the channel and its queue is full; the explorer lists them per channel.
+Only a receive on the channel makes room, and an edge of another role keeps
+the sender's state and the full queue, so a candidate is met exactly when
+it has the third kind of bit for its channel.  Both checks are iterative
+and read the graph's columns (`BoundedGraph`) directly: the bit fields of
+each configuration and the chain of edges into each node, which the
+explorer links as it adds them.
 """
 from __future__ import annotations
 
 import time
-from array import array
 from dataclasses import astuple, dataclass
 
 from .model import Action, System
@@ -128,7 +124,10 @@ class CheckOutcome:
 
 
 def extract_trace(graph: BoundedGraph, node: int) -> tuple[Step, ...]:
-    """One shortest derivation of `node` from the initial configuration."""
+    """One shortest derivation of `node` from the initial configuration.
+    Raises `IndexError` when the graph has no node `node`."""
+    if not 0 <= node < len(graph.configs):
+        raise IndexError(f"node {node} is not in the graph of {len(graph.configs)} nodes")
     src, step_id, steps, parent_edge = graph.src, graph.step_id, graph.steps, graph.parent_edge
     trace: list[Step] = []
     e = parent_edge[node]
@@ -145,64 +144,32 @@ def check_exhaustive(
     """Send obligations the bound starves, as (node, role, action) triples.
 
     An obligation is met when the other roles can step (zero or more times)
-    from the node to somewhere the send's target queue has room.  An empty
-    result means the graph accounts for every send at this bound.  The
-    `system` argument is not read: the answer is about `graph.system`, the
-    system whose steps label the edges.
+    from the node to somewhere the send's target queue has room.  Only a
+    node where that queue is full, a candidate (`graph.blocked`), can leave
+    a send starved, and it is met exactly when `graph.reach` gives it its
+    channel's coverage bit: the head consumed before the sender moves.
+    Obligations come by channel, in sender order and then by peer name,
+    then by candidate in node order, then by send in declaration order.  An
+    empty result means the graph accounts for every send at this bound.
+    The `system` argument is not read: the answer is about `graph.system`,
+    the system whose steps label the edges.
     """
     system = graph.system
-    configs, steps = graph.configs, graph.steps
     sends: dict[int, dict[int, list[Action]]] = {}  # channel -> state code -> sends
-    pops: dict[int, set[int]] = {}  # channel -> receiver state code << b | head code
-    for sid, (_, code, j, message, is_send) in enumerate(graph.effects):
+    for sid, (_, code, j, _, is_send) in enumerate(graph.effects):
         if is_send:
-            sends.setdefault(j, {}).setdefault(code, []).append(steps[sid].action)
-        else:
-            pops.setdefault(j, set()).add(code << graph.queue_fields[j][1] | message)
-    src, step_id, last_in, prev_in = graph.src, graph.step_id, graph.last_in, graph.prev_in
-    movers = [effect[0] for effect in graph.effects]
+            sends.setdefault(j, {}).setdefault(code, []).append(graph.steps[sid].action)
+    configs, reach = graph.configs, graph.reach
+    covered = len(system.roles) + len(system.channels)  # channel 0's coverage bit
     obligations: list[tuple[int, str, Action]] = []
     # the channels with candidates, by sender in role order, then by peer name
     order = sorted((system.role_index[sender], peer, j)
                    for j, (sender, peer) in enumerate(system.channels) if graph.blocked[j])
-    for ri, peer, j in order:
-        role = system.roles[ri]
-        shift, mask = graph.role_fields[ri]
-        by_code = sends[j]  # sends to the peer, by sender state code
-        field_shift, b = graph.queue_fields[j]
-        peer_shift, peer_mask = graph.role_fields[system.role_index[peer]]
-        head, can_pop = (1 << b) - 1, pops.get(j, ())
-        # Only a node where the queue to the peer is full can leave a send
-        # starved; a node with room meets its obligation on the spot.  The
-        # explorer lists these candidates.  Those where the peer can pop the
-        # head are met in one step, since only that receive makes room: they
-        # seed the walk.
-        candidates = graph.blocked[j]
-        work = [i for i in candidates
-                if ((configs[i] >> peer_shift & peer_mask) << b
-                    | configs[i] >> field_shift & head) in can_pop]
-        unmet = len(candidates) - len(work)
-        if not unmet:
-            continue
-        # Backwards from the seeds over the other roles' edges, until every
-        # candidate is met.  Such an edge keeps the sender's state and leaves
-        # the queue full, so every node met is a candidate.
-        met = bytearray(len(configs))
-        for v in work:
-            met[v] = 1
-        for v in work:
-            e = last_in[v]
-            while e >= 0:
-                u = src[e]
-                if not met[u] and movers[step_id[e]] != ri:
-                    met[u] = 1
-                    work.append(u)
-                    unmet -= 1
-                e = prev_in[e]
-            if not unmet:
-                break
-        for i in candidates:
-            if not met[i]:
+    for ri, _, j in order:
+        role, (shift, mask), by_code = system.roles[ri], graph.role_fields[ri], sends[j]
+        bit = 1 << (covered + j)
+        for i in graph.blocked[j]:
+            if not reach[i] & bit:
                 obligations.extend((i, role, a) for a in by_code[configs[i] >> shift & mask])
     return tuple(obligations)
 
@@ -218,36 +185,10 @@ def check_safety(system: System, graph: BoundedGraph) -> tuple[Violation, ...]:
     """
     system = graph.system
     roles, configs = system.roles, graph.configs
-    n = len(configs)
+    # the role bits and the consumed-head bits of `graph.reach`
     first = len(roles)
-    # Event bits: bit r is "role r moves", and bit `first + j` is "the head
-    # of channel j is consumed".
     full = (1 << (first + len(system.channels))) - 1
-    events = [1 << ri | (0 if is_send else 1 << (first + j))
-              for ri, _, j, _, is_send in graph.effects]
-
-    reach = [0] * n
-    # Backwards to the fixpoint: each node ends with the OR over all it
-    # reaches.  A node is on the worklist at most once.
-    src, step_id, last_in, prev_in = graph.src, graph.step_id, graph.last_in, graph.prev_in
-    work = array("i", range(n))  # a list would also hold an int object per node
-    queued = bytearray(b"\1") * n
-    pop, push = work.pop, work.append
-    while work:
-        v = pop()
-        queued[v] = 0
-        bits = reach[v]
-        e = last_in[v]
-        while e >= 0:
-            u = src[e]
-            old = reach[u]
-            new = events[step_id[e]] | bits | old
-            if new != old:
-                reach[u] = new
-                if not queued[u]:
-                    queued[u] = 1
-                    push(u)
-            e = prev_in[e]
+    reach = graph.reach
 
     # Per role: its bit, field and the codes of its receive states (a state
     # is one when its first transition is a receive).  Per channel: its bit,
@@ -269,7 +210,7 @@ def check_safety(system: System, graph: BoundedGraph) -> tuple[Violation, ...]:
     # its smallest depth.
     best: dict[tuple, tuple[int, object]] = {}
     for i, bits in enumerate(reach):
-        if bits == full:
+        if bits & full == full:
             continue
         cfg = configs[i]
         for ri, role, shift, mask, receiving, role_states in role_rows:

@@ -22,8 +22,9 @@ explorer takes exactly the steps `enabled_steps` offers, in the same order.
 
 In the same pass it records what the checks read, in `array('i')` columns:
 each edge's source and step id, grouped by source; a chain through the
-edges into each node, for the backward walks; the nodes where a send found
-its queue full, per channel; and the edge that discovered each node.
+edges into each node, for the backward pass (`BoundedGraph.reach`); the
+nodes where a send found its queue full, per channel; and the edge that
+discovered each node.
 `BoundedGraph.nodes`, `.edges` and `.parent` show the graph as
 `Configuration`s and `Step`s.  On request it stops instead at the first
 node where a send finds its queue full and the receiver can never receive
@@ -210,10 +211,11 @@ class BoundedGraph:
     before `e` (-1 ends both).  `blocked[j]` lists, in node order, the nodes
     where the sender of channel `j` has a send on it and the queue is full.
 
-    `dst` (each edge's target) is built from the chains on first access and
-    then kept.  `nodes`, `edges` and `parent` are read-only views in the
-    layout of `enabled_steps`: a `Configuration`, a (src, Step, dst) triple
-    and a (src, Step) pair or None, each built anew on every access.
+    `dst` (each edge's target) and `reach` (the events each node can reach)
+    are built from the chains on first access and then kept.  `nodes`,
+    `edges` and `parent` are read-only views in the layout of
+    `enabled_steps`: a `Configuration`, a (src, Step, dst) triple and a
+    (src, Step) pair or None, each built anew on every access.
     """
 
     system: System
@@ -240,6 +242,54 @@ class BoundedGraph:
                 dst[e] = v
                 e = prev_in[e]
         return dst
+
+    @cached_property
+    def reach(self) -> list[int]:
+        """Per node, the events that some path from it reaches, as bits.
+
+        With `R` roles and `C` channels, bit `ri` is "role `ri` moves", bit
+        `R + j` is "the head of channel `j` is consumed", and bit
+        `R + C + j`, `j`'s coverage bit, is "the head of channel `j` is
+        consumed with no move by `j`'s sender before it".  A pop on `j` sets
+        both of `j`'s bits.  An edge of role `r` passes on every bit of its
+        target but the coverage bits of the channels `r` sends on.
+
+        One backward worklist over the chains, seeded with every node, ORs
+        into each edge's source the edge's bits and those it passes on, and
+        queues the source again when its bits grew, up to the fixpoint.
+        """
+        system = self.system
+        first, c = len(system.roles), len(system.channels)
+        full = (1 << (first + 2 * c)) - 1
+        own = [0] * first  # per role, the coverage bits of the channels it sends on
+        for j, (sender, _) in enumerate(system.channels):
+            own[system.role_index[sender]] |= 1 << (first + c + j)
+        events = [1 << ri if is_send else 1 << ri | (1 | 1 << c) << (first + j)
+                  for ri, _, j, _, is_send in self.effects]
+        passes = [full ^ own[effect[0]] for effect in self.effects]
+
+        n = len(self.configs)
+        reach = [0] * n
+        src, step_id, last_in, prev_in = self.src, self.step_id, self.last_in, self.prev_in
+        work = array("i", range(n))  # a list would also hold an int object per node
+        queued = bytearray(b"\1") * n
+        pop, push = work.pop, work.append
+        while work:
+            v = pop()
+            queued[v] = 0
+            bits = reach[v]
+            e = last_in[v]
+            while e >= 0:
+                u, sid = src[e], step_id[e]
+                old = reach[u]
+                new = events[sid] | bits & passes[sid] | old
+                if new != old:
+                    reach[u] = new
+                    if not queued[u]:
+                        queued[u] = 1
+                        push(u)
+                e = prev_in[e]
+        return reach
 
     @property
     def nodes(self) -> Sequence[Configuration]:

@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 
-from .model import Direction, System
+from .model import Action, Direction, System
 from .semantics import Configuration, Step, apply_step, enabled_steps, initial_configuration
 
 DEFAULT_SEED = 0
@@ -130,8 +130,6 @@ def format_trace(trace: tuple[Step, ...] | list[Step]) -> str:
 
 def parse_trace(text: str):
     """Inverse of `format_trace`; raises ValueError on a malformed line."""
-    from .model import Action
-
     steps = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
@@ -140,6 +138,5 @@ def parse_trace(text: str):
         if len(parts) != 5 or parts[2] not in ("!", "?"):
             raise ValueError(f"line {lineno}: not a trace step: {line!r}")
         role, peer, mark, label, sort = parts
-        direction = Direction.SEND if mark == "!" else Direction.RECEIVE
-        steps.append(Step(role, Action(peer, direction, label, sort)))
+        steps.append(Step(role, Action(peer, Direction(mark), label, sort)))
     return tuple(steps)

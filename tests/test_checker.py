@@ -313,6 +313,15 @@ def test_traces_are_shortest_and_replayable():
         assert len(extract_trace(graph, node)) == ref.depth[node]
 
 
+def test_trace_of_a_node_outside_the_graph_raises():
+    graph = build_bounded_graph(fixture_system("flood.kmc"), 2)
+    n = len(graph.configs)
+    for node in (-1, -n, n, n + 5):
+        with pytest.raises(IndexError, match=f"node {node} is not in the graph of {n} nodes"):
+            extract_trace(graph, node)
+    assert len(extract_trace(graph, n - 1)) > 0
+
+
 def test_verdicts_match_frozen_reference(golden):
     for name, expect in golden["verdicts"].items():
         verdict = check_kmc(fixture_system(name), max_bound=golden["max_bound"])

@@ -4,6 +4,8 @@ Criterion 6 compares verdicts at the bound that settles them.  Here every
 bound from 1 to 3 is compared, including bounds that starve some send, and
 the checks' full results are compared configuration by configuration: every
 starved send obligation, and every safety witness together with its depth.
+The event bits both checks read (`BoundedGraph.reach`) are compared node by
+node with a forward search, bits that neither check reads included.
 """
 from __future__ import annotations
 
@@ -17,6 +19,7 @@ from kmcheck.checker import (
     check_safety,
 )
 from kmcheck.dsl import parse_system
+from kmcheck.model import Direction
 from kmcheck.semantics import HopelessSend, build_bounded_graph
 
 from conftest import FIXTURES, fixture_system
@@ -204,3 +207,63 @@ def test_a_bound_gives_up_only_where_it_starves_a_send():
     assert fixtures == [("flood.kmc", 1), ("flood.kmc", 2), ("flood.kmc", 3)]
     assert time.process_time() - started < 10.0
 
+
+def _reach_by_search(system, oracle_graph) -> dict:
+    """Per oracle configuration, the bits `BoundedGraph.reach` should hold,
+    by forward search from it: the roles that move and the channels whose
+    head is consumed on every edge it reaches, and the channels whose head
+    is consumed on an edge it reaches without a move by their sender."""
+    first, c = len(system.roles), len(system.channels)
+
+    def fired(start, sender=None):
+        # every (role, action) on an edge reachable from `start` without a
+        # move by `sender`
+        seen, stack, found = {start}, [start], []
+        while stack:
+            for role, action, dst in oracle_graph[stack.pop()]:
+                if role != sender:
+                    found.append((role, action))
+                    if dst not in seen:
+                        seen.add(dst)
+                        stack.append(dst)
+        return found
+
+    expected = {}
+    for cfg in oracle_graph:
+        bits = 0
+        for role, action in fired(cfg):
+            bits |= 1 << system.role_index[role]
+            if action.direction is Direction.RECEIVE:
+                bits |= 1 << (first + system.channel_index[(action.peer, role)])
+        for sender in system.roles:
+            for role, action in fired(cfg, sender):
+                if action.direction is Direction.RECEIVE and action.peer == sender:
+                    bits |= 1 << (first + c + system.channel_index[(sender, role)])
+        expected[cfg] = bits
+    return expected
+
+
+def _compare_reach(system, k) -> bool:
+    """Compare every node's bits with the forward search at bound `k`;
+    False when the oracle's graph outgrows its cap."""
+    try:
+        oracle_graph = explore(system, k, cap=400)
+    except Blowup:
+        return False
+    graph = build_bounded_graph(system, k)
+    expected = _reach_by_search(system, oracle_graph)
+    convert = _oracle_layout(system)
+    assert graph.reach == [expected[convert(node)] for node in graph.nodes]
+    return True
+
+
+def test_reach_holds_exactly_the_events_each_node_can_reach():
+    rng = random.Random(20261022)
+    drawn = [random_system(rng, max_roles=4) for _ in range(200)]
+    own_move = random.Random(20261023)
+    drawn += [own_move_system(own_move) for _ in range(50)]
+    drawn += [fixture_system(path.name) for path in sorted(FIXTURES.glob("*.kmc"))]
+    started = time.process_time()
+    compared = sum(_compare_reach(system, k) for system in drawn for k in (1, 2))
+    assert compared >= 480, compared  # 518 of 518 at the time of writing
+    assert time.process_time() - started < 10.0
