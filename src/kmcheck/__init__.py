@@ -7,6 +7,8 @@ capacity accounts for every behaviour.  See `check_kmc` for the entry point,
 `parse_system` for the textual format, and `simulate`/`replay` for running
 and validating executions.
 """
+import types as _types
+
 from .checker import (
     CheckOutcome,
     CheckStats,
@@ -76,5 +78,7 @@ from .simulator import (
     simulate,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# importing a name from a submodule binds the submodule too; a star import takes none
+__all__ = [name for name, value in sorted(globals().items())
+           if not name.startswith("_") and not isinstance(value, _types.ModuleType)]
 __version__ = "0.1.0"

@@ -24,17 +24,15 @@ In the same pass it records what the checks read, in `array('i')` columns:
 each edge's source and step id, grouped by source; a chain through the
 edges into each node, for the backward pass (`BoundedGraph.reach`); the
 nodes where a send found its queue full, per channel; and the edge that
-discovered each node.
-`BoundedGraph.nodes`, `.edges` and `.parent` show the graph as
-`Configuration`s and `Step`s.  On request it stops instead at the first
-node where a send finds its queue full and the receiver can never receive
-on it again (`HopelessSend`): such a bound leaves a send starved.
+discovered each node.  `BoundedGraph.nodes` and `.edges` are the ids the
+columns are indexed by.  On request it stops instead at the first node
+where a send finds its queue full and the receiver can never receive on it
+again (`HopelessSend`): such a bound leaves a send starved.
 """
 from __future__ import annotations
 
-import operator
 from array import array
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -90,6 +88,22 @@ def initial_configuration(system: System) -> Configuration:
     return Configuration(tuple(system.machines[r].initial for r in system.roles), queues)
 
 
+def _fitted_step_table(system: System, cfg: Configuration):
+    """`system.step_table`, once `cfg` fits `system` as `enabled_steps` requires."""
+    table = system.step_table  # the validity gate, before `cfg` is read
+    if len(cfg.locals) != len(system.roles):
+        raise ValueError(f"configuration has {len(cfg.locals)} role states "
+                         f"for {len(system.roles)} roles")
+    if len(cfg.buffers) != len(system.channels):
+        raise ValueError(f"configuration has {len(cfg.buffers)} queues "
+                         f"for {len(system.channels)} channels")
+    for role, state in zip(system.roles, cfg.locals):
+        if state not in system.machines[role].states:
+            raise ValueError(f"configuration puts role '{role}' in state {state}, "
+                             "which its machine lacks")
+    return table
+
+
 def enabled_steps(
     system: System, cfg: Configuration, bound: int | None,
 ) -> list[tuple[Step, Configuration]]:
@@ -106,18 +120,7 @@ def enabled_steps(
         raise ValueError("bound must be at least 1")
     out: list[tuple[Step, Configuration]] = []
     locals_, buffers = cfg.locals, cfg.buffers
-    table = system.step_table  # the validity gate, before `cfg` is read
-    if len(locals_) != len(system.roles):
-        raise ValueError(f"configuration has {len(locals_)} role states "
-                         f"for {len(system.roles)} roles")
-    if len(buffers) != len(system.channels):
-        raise ValueError(f"configuration has {len(buffers)} queues "
-                         f"for {len(system.channels)} channels")
-    for role, state in zip(system.roles, locals_):
-        if state not in system.machines[role].states:
-            raise ValueError(f"configuration puts role '{role}' in state {state}, "
-                             "which its machine lacks")
-    for ri, by_state in enumerate(table):
+    for ri, by_state in enumerate(_fitted_step_table(system, cfg)):
         for step, dst, ci, message, is_send in by_state.get(locals_[ri], ()):
             if ci is None:  # a receive on a pair nobody sends on
                 continue
@@ -147,38 +150,6 @@ def apply_step(
         if enabled == step:
             return nxt
     return None
-
-
-class _View(Sequence):
-    """A read-only sequence of `length` items, each built by `item(i)` on
-    access.  It equals a list or another view with equal items."""
-
-    __slots__ = ("_length", "_item")
-
-    def __init__(self, length: int, item: Callable[[int], object]):
-        self._length = length
-        self._item = item
-
-    def __len__(self) -> int:
-        return self._length
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self._item(j) for j in range(*i.indices(self._length))]
-        i = operator.index(i)
-        if i < 0:
-            i += self._length
-        if not 0 <= i < self._length:
-            raise IndexError("graph view index out of range")
-        return self._item(i)
-
-    def __iter__(self) -> Iterator:
-        return map(self._item, range(self._length))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, (list, _View)):
-            return NotImplemented
-        return len(self) == len(other) and all(map(operator.eq, self, other))
 
 
 @dataclass
@@ -211,11 +182,9 @@ class BoundedGraph:
     before `e` (-1 ends both).  `blocked[j]` lists, in node order, the nodes
     where the sender of channel `j` has a send on it and the queue is full.
 
-    `dst` (each edge's target) and `reach` (the events each node can reach)
-    are built from the chains on first access and then kept.  `nodes`,
-    `edges` and `parent` are read-only views in the layout of
-    `enabled_steps`: a `Configuration`, a (src, Step, dst) triple and a
-    (src, Step) pair or None, each built anew on every access.
+    `reach` (the events each node can reach) is built from the chains on
+    first access and then kept.  `nodes` and `edges` are the node and edge
+    ids, `range`s over `configs` and over `src`.
     """
 
     system: System
@@ -233,15 +202,6 @@ class BoundedGraph:
     prev_in: array
     last_in: array
     parent_edge: array
-
-    @cached_property
-    def dst(self) -> array:
-        dst, prev_in = array("i", [0]) * len(self.src), self.prev_in
-        for v, e in enumerate(self.last_in):
-            while e >= 0:
-                dst[e] = v
-                e = prev_in[e]
-        return dst
 
     @cached_property
     def reach(self) -> list[int]:
@@ -292,16 +252,12 @@ class BoundedGraph:
         return reach
 
     @property
-    def nodes(self) -> Sequence[Configuration]:
-        return _View(len(self.configs), self._configuration)
+    def nodes(self) -> range:
+        return range(len(self.configs))
 
     @property
-    def edges(self) -> Sequence[tuple[int, Step, int]]:
-        return _View(len(self.src), self._edge)
-
-    @property
-    def parent(self) -> Sequence[tuple[int, Step] | None]:
-        return _View(len(self.configs), self._parent)
+    def edges(self) -> range:
+        return range(len(self.src))
 
     def state(self, cfg: int, ri: int) -> int:
         """The state of role `ri` in packed configuration `cfg`."""
@@ -318,18 +274,6 @@ class BoundedGraph:
             queue.append(by_code[q & head])
             q >>= b
         return tuple(queue)
-
-    def _configuration(self, i: int) -> Configuration:
-        cfg = self.configs[i]
-        return Configuration(tuple(self.state(cfg, ri) for ri in range(len(self.states))),
-                             tuple(self.queue(cfg, j) for j in range(len(self.queue_fields))))
-
-    def _edge(self, e: int) -> tuple[int, Step, int]:
-        return (self.src[e], self.steps[self.step_id[e]], self.dst[e])
-
-    def _parent(self, v: int) -> tuple[int, Step] | None:
-        e = self.parent_edge[v]
-        return None if e < 0 else (self.src[e], self.steps[self.step_id[e]])
 
 
 BLOCK_BITS = 10  # the widest span of role fields that one lookup table covers

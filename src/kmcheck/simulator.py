@@ -13,7 +13,8 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .model import Action, Direction, System
-from .semantics import Configuration, Step, apply_step, enabled_steps, initial_configuration
+from .semantics import (Configuration, Step, _fitted_step_table, apply_step, enabled_steps,
+                        initial_configuration)
 
 DEFAULT_SEED = 0
 DEFAULT_MAX_STEPS = 10_000
@@ -34,8 +35,9 @@ class RunResult:
 
 
 def is_terminated(system: System, cfg: Configuration) -> bool:
-    """Everyone finished and nothing left in flight."""
-    table = system.step_table
+    """Everyone finished and nothing left in flight.  Raises `ValueError`
+    as `enabled_steps` does on a `cfg` that does not fit `system`."""
+    table = _fitted_step_table(system, cfg)
     return not any(cfg.buffers) and not any(
         table[ri].get(state) for ri, state in enumerate(cfg.locals))
 

@@ -13,7 +13,10 @@ over full-width configurations (which takes its steps from the package's
 `enabled_steps`, the one step rule the compact explorer must agree with).
 Between them sit what only tests read: machine isomorphism and rendering a
 machine back to text, for the round-trip tests, and `local_fingerprint`, a
-summary of what each role does in a graph.
+summary of what each role does in a graph.  Last comes `decode`, the one
+reader that turns a packed `BoundedGraph` into the reference explorer's
+layout: every test that looks at a graph's configurations, steps or parents
+reads them through it.
 """
 from __future__ import annotations
 
@@ -405,13 +408,13 @@ def local_fingerprint(graph, role: str) -> frozenset:
     each paired with the set of actions it actually fires from that state.
 
     Stable fingerprints between bound k and k+1 are the telltale that the
-    bound saturated the role's behaviour.  Read off the graph's `nodes` and
-    `edges` views.
+    bound saturated the role's behaviour.  Read through `decode`.
     """
     ri = graph.system.roles.index(role)
-    states = [cfg.locals[ri] for cfg in graph.nodes]
+    decoded = decode(graph)
+    states = [cfg.locals[ri] for cfg in decoded.nodes]
     fired: dict[int, set[Action]] = {s: set() for s in states}
-    for u, step, _ in graph.edges:
+    for u, step, _ in decoded.edges:
         if step.role == role:
             fired[states[u]].add(step.action)
     return frozenset((s, frozenset(actions)) for s, actions in fired.items())
@@ -422,9 +425,9 @@ def local_fingerprint(graph, role: str) -> frozenset:
 # The breadth-first explorer that `semantics.build_bounded_graph` replaced:
 # it keeps every configuration as a full-width `Configuration`, takes its
 # steps from `enabled_steps` and lists edges as (src, step, dst) tuples.  The
-# differential tests compare its nodes, edges and parents with the compact
-# explorer's views, and read each node's BFS depth, which the compact graph
-# does not keep, from it.
+# differential tests compare its nodes, edges and parents with those that
+# `decode` reads off the compact explorer's columns, and read each node's BFS
+# depth, which the compact graph does not keep, from it.
 
 
 @dataclass
@@ -455,4 +458,30 @@ def reference_graph(system: System, k: int) -> ReferenceGraph:
                 depth.append(depth[u] + 1)
                 queue.append(v)
             edges.append((u, step, v))
+    return ReferenceGraph(nodes, edges, parent, depth)
+
+
+def decode(graph) -> ReferenceGraph:
+    """A packed `BoundedGraph` in the reference explorer's layout.
+
+    Each node is decoded field by field through `graph.state` and
+    `graph.queue`, each edge's target is read off the chains of edges into
+    each node (`last_in`, `prev_in`), and each parent off `parent_edge`.
+    A depth is one more than its parent's, so a parent must come first.
+    """
+    system = graph.system
+    nodes = [Configuration(tuple(graph.state(cfg, ri) for ri in range(len(system.roles))),
+                           tuple(graph.queue(cfg, j) for j in range(len(system.channels))))
+             for cfg in graph.configs]
+    dst = [-1] * len(graph.src)
+    for v, e in enumerate(graph.last_in):
+        while e >= 0:
+            dst[e] = v
+            e = graph.prev_in[e]
+    edges = [(u, graph.steps[sid], v) for u, sid, v in zip(graph.src, graph.step_id, dst)]
+    parent: list[tuple[int, Step] | None] = [
+        None if e < 0 else edges[e][:2] for e in graph.parent_edge]
+    depth: list[int] = []
+    for up in parent:
+        depth.append(0 if up is None else depth[up[0]] + 1)
     return ReferenceGraph(nodes, edges, parent, depth)

@@ -34,7 +34,7 @@ from kmcheck.simulator import is_terminated, replay, simulate
 
 from conftest import FIXTURES, fixture_system
 from generators import random_system
-from oracle import local_fingerprint, reference_graph
+from oracle import decode, local_fingerprint, reference_graph
 
 CLASS_OF = {Safe: "safe", Unsafe: "unsafe", Inconclusive: "inconclusive"}
 
@@ -304,12 +304,13 @@ def test_traces_are_shortest_and_replayable():
     system = fixture_system("fib_progress_bug.kmc")
     graph = build_bounded_graph(system, 1)
     ref = reference_graph(system, 1)  # an independent BFS, for the depths
-    assert graph.nodes == ref.nodes
+    got = decode(graph)
+    assert got.nodes == ref.nodes
     for v in check_safety(system, graph):
         assert len(v.trace) == ref.depth[v.witness]
-        assert replay(system, v.trace, 1) == graph.nodes[v.witness]
+        assert replay(system, v.trace, 1) == got.nodes[v.witness]
     # extract_trace agrees with depth everywhere
-    for node in range(len(graph.nodes)):
+    for node in graph.nodes:
         assert len(extract_trace(graph, node)) == ref.depth[node]
 
 

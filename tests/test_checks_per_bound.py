@@ -27,6 +27,7 @@ from generators import own_move_system, random_system
 from oracle import (
     Blowup,
     bfs_depths,
+    decode,
     explore,
     stuck_receivers,
     unmet_obligations,
@@ -95,7 +96,7 @@ def _compare_bound(system, k) -> tuple | None:
     except Blowup:
         return None
     graph = build_bounded_graph(system, k)
-    cfg_of = [_oracle_layout(system)(node) for node in graph.nodes]
+    cfg_of = [_oracle_layout(system)(node) for node in decode(graph).nodes]
     assert set(cfg_of) == set(oracle_graph)
 
     obligations = check_exhaustive(system, graph)
@@ -253,7 +254,7 @@ def _compare_reach(system, k) -> bool:
     graph = build_bounded_graph(system, k)
     expected = _reach_by_search(system, oracle_graph)
     convert = _oracle_layout(system)
-    assert graph.reach == [expected[convert(node)] for node in graph.nodes]
+    assert graph.reach == [expected[convert(node)] for node in decode(graph).nodes]
     return True
 
 

@@ -31,9 +31,10 @@ def _agrees(system, k: int) -> int:
     how many blocked sends it lists."""
     graph = build_bounded_graph(system, k)
     ref = oracle.reference_graph(system, k)
-    assert graph.nodes == ref.nodes
-    assert graph.edges == ref.edges
-    assert graph.parent == ref.parent  # which fixes every BFS depth too
+    got = oracle.decode(graph)
+    assert got.nodes == ref.nodes
+    assert got.edges == ref.edges
+    assert got.parent == ref.parent  # which fixes every BFS depth too
     # the chains: each node's, reversed, holds the edges into it in edge order
     into = [[] for _ in ref.nodes]
     for e, (_, _, v) in enumerate(ref.edges):

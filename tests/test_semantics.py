@@ -13,9 +13,10 @@ from kmcheck.semantics import (
     enabled_steps,
     initial_configuration,
 )
+from kmcheck.simulator import is_terminated
 
 from conftest import fixture_system
-from oracle import reference_graph
+from oracle import decode, reference_graph
 
 
 def test_initial_configuration_shape():
@@ -82,30 +83,29 @@ def test_breadth_first_numbering_and_parents():
     system = fixture_system("fib.kmc")
     graph = build_bounded_graph(system, 1)
     ref = reference_graph(system, 1)  # an independent BFS, for the depths
-    assert graph.nodes == ref.nodes
-    assert graph.nodes[0] == initial_configuration(system)
+    got = decode(graph)
+    assert got.nodes == ref.nodes
+    assert got.nodes[0] == initial_configuration(system)
     assert ref.depth == sorted(ref.depth)  # discovery in depth order
-    assert graph.parent[0] is None
-    for v in range(1, len(graph.nodes)):
-        u, step = graph.parent[v]
+    assert got.parent[0] is None
+    for v in graph.nodes[1:]:
+        u, step = got.parent[v]
         assert ref.depth[v] == ref.depth[u] + 1
-        assert apply_step(system, graph.nodes[u], step, 1) == graph.nodes[v]
+        assert apply_step(system, got.nodes[u], step, 1) == got.nodes[v]
 
 
 def test_every_edge_is_a_real_step():
     system = fixture_system("prefetch.kmc")
-    graph = build_bounded_graph(system, 2)
-    for u, step, v in graph.edges:
-        assert apply_step(system, graph.nodes[u], step, 2) == graph.nodes[v]
+    got = decode(build_bounded_graph(system, 2))
+    for u, step, v in got.edges:
+        assert apply_step(system, got.nodes[u], step, 2) == got.nodes[v]
 
 
 def test_exploration_is_deterministic():
     system = fixture_system("fib.kmc")
     g1 = build_bounded_graph(system, 2)
     g2 = build_bounded_graph(system, 2)
-    assert g1.nodes == g2.nodes
-    assert g1.edges == g2.edges
-    assert g1.parent == g2.parent
+    assert decode(g1) == decode(g2)  # nodes, edges and parents
 
 
 def test_resource_cap_raises_with_count():
@@ -154,7 +154,8 @@ def test_apply_step_rejects_disabled_steps():
     (Configuration((0,), ()), "1 role states for 2 roles"),
     (Configuration((0, 0), ()), "0 queues for 1 channels"),
     (Configuration((7, 0), ((),)), "role 'a' in state 7, which its machine lacks"),
-], ids=["too-few-roles", "too-few-queues", "unknown-state"])
+    (Configuration((7, 7), ((),)), "role 'a' in state 7, which its machine lacks"),
+], ids=["too-few-roles", "too-few-queues", "unknown-state", "unknown-states"])
 def test_configuration_of_the_wrong_shape_is_rejected(cfg, mismatch):
     system = fixture_system("handshake.kmc")
     ((step, _),) = enabled_steps(system, initial_configuration(system), 1)
@@ -162,29 +163,13 @@ def test_configuration_of_the_wrong_shape_is_rejected(cfg, mismatch):
         enabled_steps(system, cfg, 1)
     with pytest.raises(ValueError, match=mismatch):
         apply_step(system, cfg, step, 1)
+    with pytest.raises(ValueError, match=mismatch):  # a state no machine has is not final
+        is_terminated(system, cfg)
 
 
-def test_graph_views_are_read_only_sequences():
+def test_nodes_and_edges_are_the_id_ranges():
     system = fixture_system("fib.kmc")
     graph = build_bounded_graph(system, 2)
-    nodes, edges, parent = graph.nodes, graph.edges, graph.parent
     n, m = len(graph.configs), len(graph.src)
-    assert (len(nodes), len(edges), len(parent)) == (n, m, n) and m > n > 2
-    assert nodes[0] == initial_configuration(system)
-    assert nodes[-1] == nodes[n - 1] and nodes[-n] == nodes[0]
-    assert edges[-1] == edges[m - 1] and parent[-1] == parent[n - 1]
-    assert parent[0] is None
-    for view, size in ((nodes, n), (edges, m), (parent, n)):
-        for i in (size, -size - 1):
-            with pytest.raises(IndexError):
-                view[i]
-        items = list(view)
-        assert len(items) == size and items == [view[i] for i in range(size)]
-        assert view == items and items == view and view[1:3] == items[1:3]
-        assert view != items[:-1] and view != tuple(items)
-        with pytest.raises(TypeError):
-            view[0] = items[0]
-    assert graph.nodes == build_bounded_graph(system, 2).nodes
-    assert graph.nodes != build_bounded_graph(system, 1).nodes
-    u, step, v = edges[0]
-    assert (u, v) == (graph.src[0], graph.dst[0]) and step is graph.steps[graph.step_id[0]]
+    assert (graph.nodes, graph.edges) == (range(n), range(m)) and m > n > 2
+    assert decode(graph).nodes[0] == initial_configuration(system)

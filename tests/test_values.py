@@ -6,6 +6,8 @@ with the hash seed.
 """
 from __future__ import annotations
 
+import types
+
 import pytest
 
 from kmcheck import (
@@ -168,3 +170,10 @@ def test_spans_take_no_part_in_equality():
         hash(Branch(action, End(), None))
     assert RecVar("t", SourceSpan(1, 2)) == RecVar("t", SourceSpan(9, 9))
     assert hash(RecVar("t", SourceSpan(1, 2))) == hash(RecVar("t"))
+
+
+def test_a_star_import_binds_no_submodule():
+    names = {}
+    exec("from kmcheck import *", names)
+    assert not [name for name, value in names.items() if isinstance(value, types.ModuleType)]
+    assert {"check_kmc", "BoundedGraph", "is_terminated"} <= names.keys()
