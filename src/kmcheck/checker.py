@@ -125,15 +125,21 @@ class CheckOutcome:
 
 def extract_trace(graph: BoundedGraph, node: int) -> tuple[Step, ...]:
     """One shortest derivation of `node` from the initial configuration.
-    Raises `IndexError` when the graph has no node `node`."""
+    Raises `IndexError` when the graph has no node `node`.
+
+    Each step back takes the oldest edge into the node, the last link of
+    its chain, which discovered it from a node of smaller id."""
     if not 0 <= node < len(graph.configs):
         raise IndexError(f"node {node} is not in the graph of {len(graph.configs)} nodes")
-    src, step_id, steps, parent_edge = graph.src, graph.step_id, graph.steps, graph.parent_edge
+    src, step_id, steps, last_in, prev_in = (
+        graph.src, graph.step_id, graph.steps, graph.last_in, graph.prev_in)
     trace: list[Step] = []
-    e = parent_edge[node]
-    while e >= 0:
+    while node:
+        e = last_in[node]
+        while prev_in[e] >= 0:
+            e = prev_in[e]
         trace.append(steps[step_id[e]])
-        e = parent_edge[src[e]]
+        node = src[e]
     trace.reverse()
     return tuple(trace)
 
@@ -156,7 +162,7 @@ def check_exhaustive(
     """
     system = graph.system
     sends: dict[int, dict[int, list[Action]]] = {}  # channel -> state code -> sends
-    for sid, (_, code, j, _, is_send) in enumerate(graph.effects):
+    for sid, (_, code, j, is_send) in enumerate(graph.effects):
         if is_send:
             sends.setdefault(j, {}).setdefault(code, []).append(graph.steps[sid].action)
     configs, reach = graph.configs, graph.reach
@@ -235,9 +241,10 @@ def check_safety(system: System, graph: BoundedGraph) -> tuple[Violation, ...]:
     violations = [
         Violation(kind, node, extract_trace(graph, node))
         for node, kind in best.values()]
+    # witness ids follow BFS order, so a trace is never shorter than an
+    # earlier witness's
     violations.sort(key=lambda v: (
-        len(v.trace), v.witness, v.kind.__class__.__name__,
-        tuple(str(x) for x in astuple(v.kind))))
+        v.witness, v.kind.__class__.__name__, tuple(str(x) for x in astuple(v.kind))))
     return tuple(violations)
 
 

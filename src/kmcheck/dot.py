@@ -25,7 +25,8 @@ def machine_to_dot(role: str, machine: Machine) -> str:
         shape = "doublecircle" if machine.is_terminal(state) else "circle"
         lines.append(f'  s{state} [shape={shape}, label="{state}"];')
     for src, action, dst in machine.transitions:
-        lines.append(f'  s{src} -> s{dst} [label="{action}"];')
+        label = str(action).replace("\\", "\\\\").replace('"', '\\"')
+        lines.append(f'  s{src} -> s{dst} [label="{label}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -22,12 +22,13 @@ explorer takes exactly the steps `enabled_steps` offers, in the same order.
 
 In the same pass it records what the checks read, in `array('i')` columns:
 each edge's source and step id, grouped by source; a chain through the
-edges into each node, for the backward pass (`BoundedGraph.reach`); the
-nodes where a send found its queue full, per channel; and the edge that
-discovered each node.  `BoundedGraph.nodes` and `.edges` are the ids the
-columns are indexed by.  On request it stops instead at the first node
-where a send finds its queue full and the receiver can never receive on it
-again (`HopelessSend`): such a bound leaves a send starved.
+edges into each node, for the backward pass (`BoundedGraph.reach`) and,
+through its oldest link, the edge that discovered the node; and the nodes
+where a send found its queue full, per channel.  `BoundedGraph.nodes` and
+`.edges` are the ids the columns are indexed by.  On request it stops
+instead at the first node where a send finds its queue full and the
+receiver can never receive on it again (`HopelessSend`): such a bound
+leaves a send starved.
 """
 from __future__ import annotations
 
@@ -167,20 +168,21 @@ class BoundedGraph:
     full one has bit `k * b` set.  `messages[j]` gives the (label, sort) of
     each of the channel's codes.  `state` and `queue` decode one field.
 
-    `steps` maps a step id to its `Step` and `effects` to what it does, as
-    (role index, source state code, channel, message code, is_send).
+    `steps` maps a step id to its `Step` and `effects` to what the checks
+    read of it, as (role index, source state code, channel, is_send).
     Edge `e` leaves `src[e]` by step `step_id[e]`.
 
     Nodes are numbered 0.. in breadth-first discovery order (0 is the initial
     configuration), which makes numbering and edge order deterministic; edges
-    are listed source by source, in node order.  `parent_edge[v]` is the edge
-    that discovered `v` (-1 for node 0), so following it back from any node
-    replays one shortest derivation.
+    are listed source by source, in node order.
 
     The edges into each node form a chain, newest first: `last_in[v]` is
     the last edge into `v` and `prev_in[e]` the edge into the same target
-    before `e` (-1 ends both).  `blocked[j]` lists, in node order, the nodes
-    where the sender of channel `j` has a send on it and the queue is full.
+    before `e` (-1 ends both).  The oldest edge into a node other than node
+    0, the last link of its chain, discovered it; its source has a smaller
+    id, so following these edges back from any node replays one shortest
+    derivation.  `blocked[j]` lists, in node order, the nodes where the
+    sender of channel `j` has a send on it and the queue is full.
 
     `reach` (the events each node can reach) is built from the chains on
     first access and then kept.  `nodes` and `edges` are the node and edge
@@ -195,13 +197,12 @@ class BoundedGraph:
     queue_fields: tuple[tuple[int, int], ...]
     messages: tuple[tuple[Message, ...], ...]
     steps: tuple[Step, ...]
-    effects: tuple[tuple[int, int, int, int, bool], ...]
+    effects: tuple[tuple[int, int, int, bool], ...]
     blocked: tuple[array, ...]
     src: array
     step_id: array
     prev_in: array
     last_in: array
-    parent_edge: array
 
     @cached_property
     def reach(self) -> list[int]:
@@ -225,7 +226,7 @@ class BoundedGraph:
         for j, (sender, _) in enumerate(system.channels):
             own[system.role_index[sender]] |= 1 << (first + c + j)
         events = [1 << ri if is_send else 1 << ri | (1 | 1 << c) << (first + j)
-                  for ri, _, j, _, is_send in self.effects]
+                  for ri, _, j, is_send in self.effects]
         passes = [full ^ own[effect[0]] for effect in self.effects]
 
         n = len(self.configs)
@@ -349,7 +350,7 @@ def _pack(system: System, k: int, configs: list[int] | None = None):
                 code = codes[j][message]
                 sid = len(steps)
                 steps.append(step)
-                effects.append((ri, src, j, code, is_send))
+                effects.append((ri, src, j, is_send))
                 delta = (code_of[dst] - src) << role_shift
                 if j != last:  # a new run
                     last, run, note = j, [] if is_send else {}, None
@@ -478,7 +479,7 @@ def build_bounded_graph(
     configs.append(init)
     seen = {init: 0}
     src, step_id, prev_in = array("i"), array("i"), array("i")
-    last_in, parent_edge = array("i", [-1]), array("i", [-1])
+    last_in = array("i", [-1])
     blocks = _blocks(role_fields, groups)
     claim, add_src, add_step, add_prev = seen.setdefault, src.append, step_id.append, prev_in.append
     n, e = 1, 0
@@ -507,14 +508,10 @@ def build_bounded_graph(
                             raise ResourceExhausted(n, k, max_configs)
                         n += 1
                         configs.append(nxt)
-                        parent_edge.append(e)
-                        last_in.append(e)
-                        add_prev(-1)
-                    else:
-                        add_prev(last_in[v])
-                        last_in[v] = e
+                        last_in.append(-1)
+                    add_prev(last_in[v])
+                    last_in[v] = e
                     add_src(u)
                     add_step(sid)
                     e += 1
-    return BoundedGraph(system, k, configs, *layout, src, step_id, prev_in, last_in,
-                        parent_edge)
+    return BoundedGraph(system, k, configs, *layout, src, step_id, prev_in, last_in)

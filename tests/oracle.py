@@ -466,21 +466,21 @@ def decode(graph) -> ReferenceGraph:
 
     Each node is decoded field by field through `graph.state` and
     `graph.queue`, each edge's target is read off the chains of edges into
-    each node (`last_in`, `prev_in`), and each parent off `parent_edge`.
-    A depth is one more than its parent's, so a parent must come first.
+    each node (`last_in`, `prev_in`), and each parent off the oldest edge
+    into a node other than node 0, the last link of its chain.  A depth is
+    one more than its parent's, so a parent must come first.
     """
     system = graph.system
     nodes = [Configuration(tuple(graph.state(cfg, ri) for ri in range(len(system.roles))),
                            tuple(graph.queue(cfg, j) for j in range(len(system.channels))))
              for cfg in graph.configs]
-    dst = [-1] * len(graph.src)
+    dst, oldest = [-1] * len(graph.src), [-1] * len(graph.configs)
     for v, e in enumerate(graph.last_in):
         while e >= 0:
-            dst[e] = v
+            dst[e], oldest[v] = v, e
             e = graph.prev_in[e]
     edges = [(u, graph.steps[sid], v) for u, sid, v in zip(graph.src, graph.step_id, dst)]
-    parent: list[tuple[int, Step] | None] = [
-        None if e < 0 else edges[e][:2] for e in graph.parent_edge]
+    parent: list[tuple[int, Step] | None] = [None] + [edges[e][:2] for e in oldest[1:]]
     depth: list[int] = []
     for up in parent:
         depth.append(0 if up is None else depth[up[0]] + 1)

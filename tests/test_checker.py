@@ -35,6 +35,7 @@ from kmcheck.simulator import is_terminated, replay, simulate
 from conftest import FIXTURES, fixture_system
 from generators import random_system
 from oracle import decode, local_fingerprint, reference_graph
+from test_explorer_differential import SMALL_FAMILY_MEMBERS, family_system
 
 CLASS_OF = {Safe: "safe", Unsafe: "unsafe", Inconclusive: "inconclusive"}
 
@@ -300,18 +301,28 @@ def test_all_terminal_graph_is_safe():
     assert check_safety(system, graph) == ()
 
 
-def test_traces_are_shortest_and_replayable():
-    system = fixture_system("fib_progress_bug.kmc")
-    graph = build_bounded_graph(system, 1)
-    ref = reference_graph(system, 1)  # an independent BFS, for the depths
-    got = decode(graph)
-    assert got.nodes == ref.nodes
+# the family members' graphs have edges into node 0; no fixture's has
+TRACE_SOURCES = [path.name for path in sorted(FIXTURES.glob("*.kmc"))] + SMALL_FAMILY_MEMBERS
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("source", TRACE_SOURCES, ids=lambda s: s if isinstance(s, str)
+                         else s[0].__name__)
+def test_traces_are_shortest_and_replayable(source, k):
+    system = fixture_system(source) if isinstance(source, str) else family_system(*source)
+    graph = build_bounded_graph(system, k)
+    ref = reference_graph(system, k)  # an independent BFS, for the parents
+    assert decode(graph).nodes == ref.nodes
     for v in check_safety(system, graph):
-        assert len(v.trace) == ref.depth[v.witness]
-        assert replay(system, v.trace, 1) == got.nodes[v.witness]
-    # extract_trace agrees with depth everywhere
+        assert v.trace == extract_trace(graph, v.witness)
     for node in graph.nodes:
-        assert len(extract_trace(graph, node)) == ref.depth[node]
+        back, at = [], node
+        while ref.parent[at] is not None:
+            at, step = ref.parent[at]
+            back.append(step)
+        trace = extract_trace(graph, node)
+        assert trace == tuple(reversed(back))
+        assert replay(system, trace, k) == ref.nodes[node]
 
 
 def test_trace_of_a_node_outside_the_graph_raises():

@@ -12,8 +12,10 @@ import jsonschema
 import pytest
 
 from kmcheck import checker, cli
-from kmcheck.checker import Safe, check_kmc_detailed
+from kmcheck.checker import Safe, check_kmc, check_kmc_detailed
 from kmcheck.cli import main
+from kmcheck.dot import machine_to_dot
+from kmcheck.model import Machine, System, receive, send, validate_system
 from kmcheck.simulator import parse_trace, replay
 
 from conftest import FIXTURES, fixture_system
@@ -365,6 +367,16 @@ def test_export_dot_quotes_roles_named_like_dot_keywords(tmp_path, capsys):
     capsys.readouterr()
     assert (tmp_path / "node.dot").read_text().startswith('digraph "node" {\n')
     assert (tmp_path / "Graph.dot").read_text().startswith('digraph "Graph" {\n')
+
+
+def test_dot_labels_escape_quotes_and_backslashes():
+    # the DSL's identifiers hold neither character; a hand-built machine may
+    label, sort = 'say"hi', "a\\b"
+    sender = Machine(frozenset({0, 1}), 0, ((0, send("b", label, sort), 1),))
+    receiver = Machine(frozenset({0, 1}), 0, ((0, receive("a", label, sort), 1),))
+    system = System(("a", "b"), {"a": sender, "b": receiver})
+    assert not validate_system(system) and check_kmc(system) == Safe(1)
+    assert '  s0 -> s1 [label="b!say\\"hi<a\\\\b>"];\n' in machine_to_dot("a", sender)
 
 
 def test_export_dot_io_error(tmp_path, capsys):

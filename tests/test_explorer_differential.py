@@ -85,10 +85,14 @@ SMALL_FAMILY_MEMBERS = [
 ]
 
 
+def family_system(family, args) -> System:
+    return parse_system(workloads.make_case("small", family, args, 3, seed=5).text)
+
+
 @pytest.mark.parametrize("family, args", SMALL_FAMILY_MEMBERS,
                          ids=[f.__name__ for f, _ in SMALL_FAMILY_MEMBERS])
 def test_small_family_graphs_match_reference(family, args):
-    system = parse_system(workloads.make_case("small", family, args, 3, seed=5).text)
+    system = family_system(family, args)
     for k in (1, 2, 3):
         _agrees(system, k)
 
