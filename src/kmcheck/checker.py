@@ -27,23 +27,27 @@ can still happen" (CTL `AG EF`), so one backward pass settles them all:
 docstring gives the layout and the pass), and whichever check reads it
 first builds it.  The pass queues a node again only when it gains a bit, so
 it pops a node at most once per event bit plus once and reads each edge as
-often: O((roles + 2 * channels) * edges) at worst, a channel being a pair
-some role sends on (`System.channels`), and one or two pops per node on
-large safe graphs.
+often: O(2 * channels * edges) at worst, a channel being a pair some role
+sends on (`System.channels`), and one or two pops per node on large safe
+graphs.
 
-The events: a role moves; a channel's head is consumed; and a channel's
-head is consumed before its sender moves.  A role in a receive state has
-progress where it can still move, and a queued message is eventually
-received where its channel's head can still be consumed, so only a node
-whose bits lack one of the first two kinds can witness a violation.  A
-send can be starved only at a candidate node, where the sender has a send
-on the channel and its queue is full; the explorer lists them per channel.
-Only a receive on the channel makes room, and an edge of another role keeps
-the sender's state and the full queue, so a candidate is met exactly when
-it has the third kind of bit for its channel.  Both checks are iterative
-and read the graph's columns (`BoundedGraph`) directly: the bit fields of
-each configuration and the chain of edges into each node, which the
-explorer links as it adds them.
+The events are of one kind, a channel's head is consumed, in two flavours:
+at all, and before the channel's sender moves.  A queued message is
+eventually received where its channel's head can still be consumed.  A
+role in a receive state leaves it only by a receive, which pops a channel
+into that role, and only that role pops those channels; so the waiting
+role has progress exactly where the head of some channel into it can still
+be consumed.  Hence only a node whose bits lack some channel's first
+flavour can witness a violation, unless some role can wait where no
+channel leads in: that role is stuck wherever it waits.  A send can be
+starved only at a candidate node, where the sender has a send on the
+channel and its queue is full; the explorer lists them per channel.  Only a
+receive on the channel makes room, and an edge of another role keeps the
+sender's state and the full queue, so a candidate is met exactly when it
+has its channel's second flavour of bit.  Both checks are iterative and
+read the graph's columns (`BoundedGraph`) directly: the bit fields of each
+configuration and the chain of edges into each node, which the explorer
+links as it adds them.
 """
 from __future__ import annotations
 
@@ -166,7 +170,7 @@ def check_exhaustive(
         if is_send:
             sends.setdefault(j, {}).setdefault(code, []).append(graph.steps[sid].action)
     configs, reach = graph.configs, graph.reach
-    covered = len(system.roles) + len(system.channels)  # channel 0's coverage bit
+    covered = len(system.channels)  # channel 0's coverage bit
     obligations: list[tuple[int, str, Action]] = []
     # the channels with candidates, by sender in role order, then by peer name
     order = sorted((system.role_index[sender], peer, j)
@@ -190,26 +194,30 @@ def check_safety(system: System, graph: BoundedGraph) -> tuple[Violation, ...]:
     system whose steps label the edges.
     """
     system = graph.system
-    roles, configs = system.roles, graph.configs
-    # the role bits and the consumed-head bits of `graph.reach`
-    first = len(roles)
-    full = (1 << (first + len(system.channels))) - 1
-    reach = graph.reach
+    roles, configs, states, reach = system.roles, graph.configs, graph.states, graph.reach
 
-    # Per role: its bit, field and the codes of its receive states (a state
-    # is one when its first transition is a receive).  Per channel: its bit,
-    # its queue field and head mask, and the receiver's field.
-    states = graph.states
+    # Per role: `moves`, the consumed-head bits of the channels into it (a
+    # role in a receive state moves on only by popping one of them, and only
+    # it pops them), its field and the codes of its receive states (a state
+    # is one when its first transition is a receive).  A node where every
+    # channel's head can still be consumed then holds no violation, unless a
+    # role can wait where no channel leads in: then `full` is -1, which no
+    # node's bits match, and every node is read.  Per channel: its bit, its
+    # queue field and head mask, and the receiver's field.
+    full = (1 << len(system.channels)) - 1
     role_rows = []
     for ri, (role, by_state, (shift, mask)) in enumerate(
             zip(roles, system.step_table, graph.role_fields)):
         receiving = {code for code, state in enumerate(states[ri])
                      if (rows := by_state.get(state)) and not rows[0][4]}
-        role_rows.append((ri, role, shift, mask, receiving, states[ri]))
+        moves = sum(1 << j for j, (_, peer) in enumerate(system.channels) if peer == role)
+        if receiving and not moves:
+            full = -1
+        role_rows.append((moves, role, shift, mask, receiving, states[ri]))
     channels = []
     for j, (sender, receiver) in enumerate(system.channels):
         (shift, b), qi = graph.queue_fields[j], system.role_index[receiver]
-        channels.append((first + j, shift, (2 << graph.k * b) - 1, (1 << b) - 1,
+        channels.append((j, shift, (2 << graph.k * b) - 1, (1 << b) - 1,
                          *graph.role_fields[qi], states[qi], graph.messages[j],
                          sender, receiver))
     # Nodes are numbered in BFS order, so the first witness of a key is at
@@ -219,8 +227,8 @@ def check_safety(system: System, graph: BoundedGraph) -> tuple[Violation, ...]:
         if bits & full == full:
             continue
         cfg = configs[i]
-        for ri, role, shift, mask, receiving, role_states in role_rows:
-            if not bits >> ri & 1:
+        for moves, role, shift, mask, receiving, role_states in role_rows:
+            if not bits & moves:
                 code = cfg >> shift & mask
                 if code in receiving:
                     key = ("progress", role, role_states[code])

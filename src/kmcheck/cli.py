@@ -44,7 +44,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="largest queue bound to try (default %(default)s)")
     check.add_argument("--max-configs", type=int, default=None, metavar="M",
                        help="cap on explored configurations per bound "
-                            "(default %(default)s or $KMC_MAX_CONFIGS)")
+                            f"(default {DEFAULT_MAX_CONFIGS:,}, or $KMC_MAX_CONFIGS when set)")
     check.add_argument("--json", action="store_true", help="machine-readable report")
     check.add_argument("--report-bounded-violations", action="store_true",
                        help="on an inconclusive verdict, also show unverified "

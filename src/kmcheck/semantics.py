@@ -208,25 +208,24 @@ class BoundedGraph:
     def reach(self) -> list[int]:
         """Per node, the events that some path from it reaches, as bits.
 
-        With `R` roles and `C` channels, bit `ri` is "role `ri` moves", bit
-        `R + j` is "the head of channel `j` is consumed", and bit
-        `R + C + j`, `j`'s coverage bit, is "the head of channel `j` is
+        With `C` channels, bit `j` is "the head of channel `j` is consumed"
+        and bit `C + j`, `j`'s coverage bit, is "the head of channel `j` is
         consumed with no move by `j`'s sender before it".  A pop on `j` sets
-        both of `j`'s bits.  An edge of role `r` passes on every bit of its
-        target but the coverage bits of the channels `r` sends on.
+        both of `j`'s bits and a send sets neither.  An edge of role `r`
+        passes on every bit of its target but the coverage bits of the
+        channels `r` sends on.
 
         One backward worklist over the chains, seeded with every node, ORs
         into each edge's source the edge's bits and those it passes on, and
         queues the source again when its bits grew, up to the fixpoint.
         """
         system = self.system
-        first, c = len(system.roles), len(system.channels)
-        full = (1 << (first + 2 * c)) - 1
-        own = [0] * first  # per role, the coverage bits of the channels it sends on
+        c = len(system.channels)
+        full = (1 << 2 * c) - 1
+        own = [0] * len(system.roles)  # per role, the coverage bits of the channels it sends on
         for j, (sender, _) in enumerate(system.channels):
-            own[system.role_index[sender]] |= 1 << (first + c + j)
-        events = [1 << ri if is_send else 1 << ri | (1 | 1 << c) << (first + j)
-                  for ri, _, j, is_send in self.effects]
+            own[system.role_index[sender]] |= 1 << (c + j)
+        events = [0 if is_send else (1 | 1 << c) << j for _, _, j, is_send in self.effects]
         passes = [full ^ own[effect[0]] for effect in self.effects]
 
         n = len(self.configs)

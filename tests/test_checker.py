@@ -13,6 +13,7 @@ from kmcheck.checker import (
     ProgressViolation,
     Safe,
     Unsafe,
+    Violation,
     check_exhaustive,
     check_kmc,
     check_kmc_detailed,
@@ -293,6 +294,18 @@ def test_orphan_message_detected():
     assert isinstance(v.kind, EventualReceptionViolation)
     assert (v.kind.sender, v.kind.receiver, v.kind.label) == ("a", "b", "hello")
     assert len(v.trace) == 1
+
+
+@pytest.mark.parametrize("text", [
+    "role a: b?x; end\nrole b: end\n",
+    "role a: b?x; end\nrole b: c!y; end\nrole c: b?y; end\n",
+], ids=["two-roles", "three-roles"])
+def test_a_receive_nobody_can_serve_is_stuck_at_once(text):
+    # no role sends to `a`, so no channel leads into it: it waits for ever
+    # from the initial configuration on
+    system = parse_system(text)
+    graph = build_bounded_graph(system, 1)
+    assert check_safety(system, graph) == (Violation(ProgressViolation("a", 0), 0, ()),)
 
 
 def test_all_terminal_graph_is_safe():

@@ -280,6 +280,13 @@ def test_config_cap_from_environment(capsys, monkeypatch):
     assert main(["check", FIB]) == 64
 
 
+def test_check_help_names_the_configuration_cap_default(capsys):
+    assert main(["check", "--help"]) == 0
+    text = " ".join(capsys.readouterr().out.split())  # argparse wraps to the terminal
+    assert "(default 1,000,000, or $KMC_MAX_CONFIGS when set)" in text
+    assert "None" not in text
+
+
 @pytest.mark.parametrize("exc, code, message", [
     (MemoryError(), 70, f"{FIB}: out of memory\n"),
     (RuntimeError("boom\nagain"), 71,
