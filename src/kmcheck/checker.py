@@ -159,16 +159,13 @@ def check_exhaustive(
     a send starved, and it is met exactly when `graph.reach` gives it its
     channel's coverage bit: the head consumed before the sender moves.
     Obligations come by channel, in sender order and then by peer name,
-    then by candidate in node order, then by send in declaration order.  An
-    empty result means the graph accounts for every send at this bound.
-    The `system` argument is not read: the answer is about `graph.system`,
-    the system whose steps label the edges.
+    then by candidate in node order, then by send in declaration order: the
+    rows of the sender's state there in `graph.system.step_table` that send
+    on the channel.  An empty result means the graph accounts for every
+    send at this bound.  The `system` argument is not read: the answer is
+    about `graph.system`, the system whose steps label the edges.
     """
     system = graph.system
-    sends: dict[int, dict[int, list[Action]]] = {}  # channel -> state code -> sends
-    for sid, (_, code, j, is_send) in enumerate(graph.effects):
-        if is_send:
-            sends.setdefault(j, {}).setdefault(code, []).append(graph.steps[sid].action)
     configs, reach = graph.configs, graph.reach
     covered = len(system.channels)  # channel 0's coverage bit
     obligations: list[tuple[int, str, Action]] = []
@@ -176,11 +173,14 @@ def check_exhaustive(
     order = sorted((system.role_index[sender], peer, j)
                    for j, (sender, peer) in enumerate(system.channels) if graph.blocked[j])
     for ri, _, j in order:
-        role, (shift, mask), by_code = system.roles[ri], graph.role_fields[ri], sends[j]
-        bit = 1 << (covered + j)
+        role, by_state, states = system.roles[ri], system.step_table[ri], graph.states[ri]
+        (shift, mask), bit = graph.role_fields[ri], 1 << (covered + j)
         for i in graph.blocked[j]:
             if not reach[i] & bit:
-                obligations.extend((i, role, a) for a in by_code[configs[i] >> shift & mask])
+                obligations.extend(
+                    (i, role, step.action)
+                    for step, _, ci, _, is_send in by_state[states[configs[i] >> shift & mask]]
+                    if is_send and ci == j)
     return tuple(obligations)
 
 

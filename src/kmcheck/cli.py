@@ -33,6 +33,20 @@ EX_CRASH = 71  # a fault in kmcheck itself: not a verdict
 EX_IOERR = 74
 
 
+def _at_least(low: int):
+    """An argparse type: an integer of at least `low`.  A non-number raises
+    `ValueError`, which argparse reports as an "invalid integer value"
+    after the function's name."""
+
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, not {value}")
+        return value
+
+    return integer
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="kmcheck", description="Bounded compatibility "
                                      "checking for asynchronous message-passing protocols.")
@@ -40,9 +54,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     check = sub.add_parser("check", help="find the least safe bound or a counterexample")
     check.add_argument("file", help="protocol description to check")
-    check.add_argument("--max-bound", type=int, default=DEFAULT_MAX_BOUND, metavar="N",
+    check.add_argument("--max-bound", type=_at_least(1), default=DEFAULT_MAX_BOUND, metavar="N",
                        help="largest queue bound to try (default %(default)s)")
-    check.add_argument("--max-configs", type=int, default=None, metavar="M",
+    check.add_argument("--max-configs", type=_at_least(1), default=None, metavar="M",
                        help="cap on explored configurations per bound "
                             f"(default {DEFAULT_MAX_CONFIGS:,}, or $KMC_MAX_CONFIGS when set)")
     check.add_argument("--json", action="store_true", help="machine-readable report")
@@ -52,11 +66,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     sim = sub.add_parser("simulate", help="run one random interleaving")
     sim.add_argument("file", help="protocol description to run")
-    sim.add_argument("--bound", type=int, default=None, metavar="K",
+    sim.add_argument("--bound", type=_at_least(1), default=None, metavar="K",
                      help="queue bound (default: unbounded)")
     sim.add_argument("--seed", type=int, default=DEFAULT_SEED, metavar="S",
                      help="PRNG seed (default %(default)s)")
-    sim.add_argument("--steps", type=int, default=DEFAULT_MAX_STEPS, metavar="N",
+    sim.add_argument("--steps", type=_at_least(0), default=DEFAULT_MAX_STEPS, metavar="N",
                      help="step budget (default %(default)s)")
     sim.add_argument("--trace", metavar="FILE", help="write the executed trace here")
 
@@ -146,22 +160,18 @@ def _print_violation(v: Violation, indent: str = "") -> None:
 
 
 def _run_check(args) -> int:
-    parser_prog = "kmcheck check"
     max_configs = args.max_configs
-    if max_configs is None:
+    if max_configs is None:  # the environment's cap, checked as the flag is
         env = os.environ.get("KMC_MAX_CONFIGS")
-        if env is None:
-            max_configs = DEFAULT_MAX_CONFIGS
-        else:
-            try:
-                max_configs = int(env)
-            except ValueError:
-                print(f"{parser_prog}: error: KMC_MAX_CONFIGS is not an integer: {env!r}",
-                      file=sys.stderr)
-                return EX_USAGE
-    if args.max_bound < 1 or max_configs < 1:
-        print(f"{parser_prog}: error: bounds and caps must be at least 1", file=sys.stderr)
-        return EX_USAGE
+        try:
+            max_configs = DEFAULT_MAX_CONFIGS if env is None else _at_least(1)(env)
+        except ValueError:
+            print(f"kmcheck check: error: KMC_MAX_CONFIGS: invalid integer value: {env!r}",
+                  file=sys.stderr)
+            return EX_USAGE
+        except argparse.ArgumentTypeError as exc:
+            print(f"kmcheck check: error: KMC_MAX_CONFIGS: {exc}", file=sys.stderr)
+            return EX_USAGE
 
     system = _load(args.file)
     try:
@@ -196,10 +206,6 @@ def _run_check(args) -> int:
 
 
 def _run_simulate(args) -> int:
-    if (args.bound is not None and args.bound < 1) or args.steps < 0:
-        print("kmcheck simulate: error: bound must be at least 1 and steps at least 0",
-              file=sys.stderr)
-        return EX_USAGE
     system = _load(args.file)
     result = simulate(system, args.bound, args.seed, args.steps)
     if args.trace:

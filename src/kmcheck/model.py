@@ -234,7 +234,6 @@ class Machine:
 
 _Key = tuple  # ("E",) | ("V", var) | ("R", var, body) | ("C", ((action id, tail), ...))
 _END: _Key = ("E",)
-_NO_VARS: frozenset[str] = frozenset()
 
 
 class _Terms:
@@ -245,14 +244,17 @@ class _Terms:
     part, spans do not, and alpha-variants stay distinct.  A choice's key
     names each action by its index in `actions`, one per distinct action, so
     a key holds only strings and ints and hashes without calling Python
-    code.  `free[i]` holds the free recursion variables of term `i`.
+    code.  `free[i]` holds the free recursion variables of term `i` as
+    bits, variable `v` at bit `var_bits[v]`, so a binder clears one bit and
+    a choice ORs its tails' ints instead of copying a set of names.
     Nothing here recurses, so the depth of a term costs no interpreter stack.
     """
 
     def __init__(self) -> None:
         self.ids: dict[_Key, int] = {}
         self.keys: list[_Key] = []
-        self.free: list[frozenset[str]] = []
+        self.free: list[int] = []
+        self.var_bits: dict[str, int] = {}
         self.actions: list[Action] = []
         self._action_ids: dict[tuple[str, bool, str, str], int] = {}
         # (var, repl) -> {term id: id with free `var` replaced by `repl`}
@@ -262,17 +264,14 @@ class _Terms:
         i = self.ids.setdefault(key, len(self.keys))
         if i < len(self.keys):
             return i
-        tag = key[0]
-        if tag == "E":
-            free = _NO_VARS
-        elif tag == "V":
-            free = frozenset((key[1],))
+        tag, free = key[0], 0
+        if tag == "V":
+            free = self.var_bits.setdefault(key[1], 1 << len(self.var_bits))
         elif tag == "R":
-            free = self.free[key[2]] - {key[1]}
-        elif len(key[1]) == 1:
-            free = self.free[key[1][0][1]]
-        else:
-            free = _NO_VARS.union(*(self.free[tail] for _, tail in key[1]))
+            free = self.free[key[2]] & ~self.var_bits.get(key[1], 0)
+        elif tag == "C":
+            for _, tail in key[1]:
+                free |= self.free[tail]
         self.keys.append(key)
         self.free.append(free)
         return i
@@ -321,8 +320,8 @@ class _Terms:
         Memoised on (root, var, repl); sub-terms in which `var` is not free
         come back unchanged.  `repl` must be closed, so nothing is captured.
         """
-        free, keys = self.free, self.keys
-        if var not in free[root]:
+        free, keys, bit = self.free, self.keys, self.var_bits.get(var, 0)
+        if not free[root] & bit:
             return root
         memo = self._substituted.setdefault((var, repl), {})
         # (id, its children are done), so each term is expanded once
@@ -335,7 +334,7 @@ class _Terms:
                     memo[i] = self.intern(("R", key[1], memo[key[2]]))
                 else:
                     memo[i] = self.intern(("C", tuple(
-                        (aid, memo[tail] if var in free[tail] else tail)
+                        (aid, memo[tail] if free[tail] & bit else tail)
                         for aid, tail in key[1])))
             elif i not in memo:
                 if key[0] == "V":  # free, so it is `var` itself
@@ -345,7 +344,7 @@ class _Terms:
                 if key[0] == "R":
                     stack.append((key[2], False))
                 else:
-                    stack.extend([(tail, False) for _, tail in key[1] if var in free[tail]])
+                    stack.extend([(tail, False) for _, tail in key[1] if free[tail] & bit])
         return memo[root]
 
     def behaviour(self, i: int) -> int:

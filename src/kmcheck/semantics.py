@@ -168,8 +168,8 @@ class BoundedGraph:
     full one has bit `k * b` set.  `messages[j]` gives the (label, sort) of
     each of the channel's codes.  `state` and `queue` decode one field.
 
-    `steps` maps a step id to its `Step` and `effects` to what the checks
-    read of it, as (role index, source state code, channel, is_send).
+    `steps` maps a step id to its `Step` and `effects` to what `reach`
+    reads of it, as (role index, channel, is_send).
     Edge `e` leaves `src[e]` by step `step_id[e]`.
 
     Nodes are numbered 0.. in breadth-first discovery order (0 is the initial
@@ -197,7 +197,7 @@ class BoundedGraph:
     queue_fields: tuple[tuple[int, int], ...]
     messages: tuple[tuple[Message, ...], ...]
     steps: tuple[Step, ...]
-    effects: tuple[tuple[int, int, int, bool], ...]
+    effects: tuple[tuple[int, int, bool], ...]
     blocked: tuple[array, ...]
     src: array
     step_id: array
@@ -225,7 +225,7 @@ class BoundedGraph:
         own = [0] * len(system.roles)  # per role, the coverage bits of the channels it sends on
         for j, (sender, _) in enumerate(system.channels):
             own[system.role_index[sender]] |= 1 << (c + j)
-        events = [0 if is_send else (1 | 1 << c) << j for _, _, j, is_send in self.effects]
+        events = [0 if is_send else (1 | 1 << c) << j for _, j, is_send in self.effects]
         passes = [full ^ own[effect[0]] for effect in self.effects]
 
         n = len(self.configs)
@@ -349,7 +349,7 @@ def _pack(system: System, k: int, configs: list[int] | None = None):
                 code = codes[j][message]
                 sid = len(steps)
                 steps.append(step)
-                effects.append((ri, src, j, is_send))
+                effects.append((ri, j, is_send))
                 delta = (code_of[dst] - src) << role_shift
                 if j != last:  # a new run
                     last, run, note = j, [] if is_send else {}, None

@@ -195,10 +195,22 @@ def test_usage_errors_exit_64():
     assert main([]) == 64
 
 
-def test_non_positive_bounds_are_usage_errors(capsys):
-    assert main(["check", FIB, "--max-bound", "0"]) == 64
-    assert main(["simulate", FIB, "--bound", "0"]) == 64
-    assert "error" in capsys.readouterr().err
+def test_non_positive_bounds_are_usage_errors(capsys, monkeypatch):
+    # a bad number is reported like every other usage error: after the
+    # subcommand's usage line, naming the flag
+    for argv in (["check", FIB, "--max-bound", "0"], ["check", FIB, "--max-configs", "0"],
+                 ["check", FIB, "--max-bound", "x"], ["simulate", FIB, "--bound", "0"],
+                 ["simulate", FIB, "--steps", "-1"]):
+        assert main(argv) == 64, argv
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"usage: kmcheck {argv[0]} "), argv
+        assert f"argument {argv[2]}: " in err, argv
+        if argv[3] == "x":
+            assert f"argument {argv[2]}: invalid integer value: 'x'" in err
+    monkeypatch.setenv("KMC_MAX_CONFIGS", "0")
+    assert main(["check", FIB]) == 64
+    assert "KMC_MAX_CONFIGS" in capsys.readouterr().err
 
 
 def test_in_process_calls_do_not_affect_each_other(tmp_path, capsys, monkeypatch):
