@@ -9,7 +9,10 @@ witness depths.  `reports.json` holds what `kmcheck check` prints for every
 fixture, for a small member of each `graphs` benchmark family, for one
 malformed input per kind of DSL error and for a seeded corpus of single-edit
 mutants of the fixtures, with timings scrubbed, so the byte-stability of
-reports and error messages is tested.
+reports and error messages is tested.  `bench_reports.json` holds the
+reports of the benchmark's own inputs, seeds 7 and 41 of both workloads,
+under `BENCH_MODES`; no test reads it, and rerunning this script and
+comparing the tree checks it.
 The tests compare against the frozen files, never against a live oracle run
 or an earlier checkout, so expected values only change when this script is
 re-run on purpose.
@@ -38,6 +41,7 @@ HERE = pathlib.Path(__file__).parent
 FIXTURES = HERE / "fixtures"
 GOLDEN = HERE / "golden" / "oracle.json"
 REPORTS = HERE / "golden" / "reports.json"
+BENCH_REPORTS = HERE / "golden" / "bench_reports.json"
 
 PIN_MAX_BOUND = 4
 
@@ -63,6 +67,14 @@ FAMILY_REPORTS = [
     ("flooded-pipeline4", workloads.flooded_pipeline, (4, 3), ["--max-bound", "3"]),
 ]
 FAMILY_SEED = 5
+
+# the benchmark inputs whose reports `bench_reports.json` pins: every input
+# of both workloads at these seeds, with each input's own `--max-bound` and
+# then the flags of each mode (a later `--max-bound` wins)
+BENCH_SEEDS = (7, 41)
+BENCH_MODES = {"plain": [], "json": ["--json"],
+               "bounded": ["--report-bounded-violations"],
+               "bound3": ["--max-bound", "3", "--report-bounded-violations"]}
 
 # one small input per kind of DSL error, whose exit code and stderr are
 # pinned (plain mode only: a malformed input is rejected before any flag
@@ -178,6 +190,22 @@ def check_reports() -> dict:
     return reports
 
 
+def bench_reports() -> dict:
+    """"workload/seed/input" -> mode -> the scrubbed `kmcheck check` report
+    of every benchmark input at `BENCH_SEEDS` with the mode's flags."""
+    reports: dict = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for workload in sorted(workloads.WORKLOADS):
+            for seed in BENCH_SEEDS:
+                for case in workloads.make_workload(workload, seed):
+                    path = pathlib.Path(tmp) / f"{case.name}.kmc"
+                    path.write_text(case.text)
+                    own = ["--max-bound", str(case.max_bound)]
+                    reports[f"{workload}/{seed}/{path.name}"] = {
+                        mode: _report(path, own + flags) for mode, flags in BENCH_MODES.items()}
+    return reports
+
+
 def main() -> None:
     golden: dict = {
         "note": "frozen output of tests/make_golden.py; rerun that script to refresh",
@@ -215,6 +243,12 @@ def main() -> None:
         "reports": check_reports(),
     }, indent=2) + "\n")
     print(f"wrote {REPORTS}")
+
+    BENCH_REPORTS.write_text(json.dumps({
+        "note": "frozen output of tests/make_golden.py; rerun that script to refresh",
+        "reports": bench_reports(),
+    }, indent=2) + "\n")
+    print(f"wrote {BENCH_REPORTS}")
 
 
 if __name__ == "__main__":
