@@ -47,7 +47,8 @@ sender's state and the full queue, so a candidate is met exactly when it
 has its channel's second flavour of bit.  Both checks are iterative and
 read the graph's columns (`BoundedGraph`) directly: the bit fields of each
 configuration and the chain of edges into each node, which the explorer
-links as it adds them.
+links as it adds them.  Their scans compare packed codes only; a finding
+is named once, at its witness, through `BoundedGraph.state` and `.queue`.
 """
 from __future__ import annotations
 
@@ -173,13 +174,12 @@ def check_exhaustive(
     order = sorted((system.role_index[sender], peer, j)
                    for j, (sender, peer) in enumerate(system.channels) if graph.blocked[j])
     for ri, _, j in order:
-        role, by_state, states = system.roles[ri], system.step_table[ri], graph.states[ri]
-        (shift, mask), bit = graph.role_fields[ri], 1 << (covered + j)
+        role, by_state, bit = system.roles[ri], system.step_table[ri], 1 << (covered + j)
         for i in graph.blocked[j]:
             if not reach[i] & bit:
                 obligations.extend(
                     (i, role, step.action)
-                    for step, _, ci, _, is_send in by_state[states[configs[i] >> shift & mask]]
+                    for step, _, ci, _, is_send in by_state[graph.state(configs[i], ri)]
                     if is_send and ci == j)
     return tuple(obligations)
 
@@ -194,61 +194,55 @@ def check_safety(system: System, graph: BoundedGraph) -> tuple[Violation, ...]:
     system whose steps label the edges.
     """
     system = graph.system
-    roles, configs, states, reach = system.roles, graph.configs, graph.states, graph.reach
+    roles, channels, configs, reach = system.roles, system.channels, graph.configs, graph.reach
 
-    # Per role: `moves`, the consumed-head bits of the channels into it (a
-    # role in a receive state moves on only by popping one of them, and only
-    # it pops them), its field and the codes of its receive states (a state
-    # is one when its first transition is a receive).  A node where every
-    # channel's head can still be consumed then holds no violation, unless a
-    # role can wait where no channel leads in: then `full` is -1, which no
-    # node's bits match, and every node is read.  Per channel: its bit, its
-    # queue field and head mask, and the receiver's field.
-    full = (1 << len(system.channels)) - 1
+    # The scan reads codes only.  Per role: `moves`, the consumed-head bits
+    # of the channels into it (a role in a receive state moves on only by
+    # popping one of them, and only it pops them), its field and the codes
+    # of its receive states (a state is one when its first transition is a
+    # receive).  A node where every channel's head can still be consumed
+    # then holds no violation, unless a role can wait where no channel leads
+    # in: then `full` is -1, which no node's bits match, and every node is
+    # read.  Per channel: its queue field and the receiver's field.
+    full = (1 << len(channels)) - 1
     role_rows = []
-    for ri, (role, by_state, (shift, mask)) in enumerate(
-            zip(roles, system.step_table, graph.role_fields)):
-        receiving = {code for code, state in enumerate(states[ri])
+    for ri, (role, by_state, states, (shift, mask)) in enumerate(
+            zip(roles, system.step_table, graph.states, graph.role_fields)):
+        receiving = {code for code, state in enumerate(states)
                      if (rows := by_state.get(state)) and not rows[0][4]}
-        moves = sum(1 << j for j, (_, peer) in enumerate(system.channels) if peer == role)
+        moves = sum(1 << j for j, (_, peer) in enumerate(channels) if peer == role)
         if receiving and not moves:
             full = -1
-        role_rows.append((moves, role, shift, mask, receiving, states[ri]))
-    channels = []
-    for j, (sender, receiver) in enumerate(system.channels):
-        (shift, b), qi = graph.queue_fields[j], system.role_index[receiver]
-        channels.append((j, shift, (2 << graph.k * b) - 1, (1 << b) - 1,
-                         *graph.role_fields[qi], states[qi], graph.messages[j],
-                         sender, receiver))
-    # Nodes are numbered in BFS order, so the first witness of a key is at
-    # its smallest depth.
-    best: dict[tuple, tuple[int, object]] = {}
+        role_rows.append((ri, moves, shift, mask, receiving))
+    channel_rows = []
+    for j, (_, receiver) in enumerate(channels):
+        shift, b = graph.queue_fields[j]
+        channel_rows.append((j, shift, (2 << graph.k * b) - 1,
+                             *graph.role_fields[system.role_index[receiver]]))
+    # A key is (role index, state code) for progress and (~channel, the
+    # receiver's state code) for reception.  Nodes are numbered in BFS
+    # order, so the first witness of a key is at its smallest depth.
+    best: dict[tuple[int, int], int] = {}
     for i, bits in enumerate(reach):
         if bits & full == full:
             continue
         cfg = configs[i]
-        for moves, role, shift, mask, receiving, role_states in role_rows:
-            if not bits & moves:
-                code = cfg >> shift & mask
-                if code in receiving:
-                    key = ("progress", role, role_states[code])
-                    if key not in best:
-                        best[key] = (i, ProgressViolation(role, role_states[code]))
-        for bit, shift, field, head, peer_shift, peer_mask, peer_states, messages, \
-                sender, receiver in channels:
-            if not bits >> bit & 1:
-                q = cfg >> shift & field
-                if q > 1:  # the sentinel alone is the empty queue
-                    key = ("reception", sender, receiver,
-                           peer_states[cfg >> peer_shift & peer_mask])
-                    if key not in best:
-                        label, sort = messages[q & head]
-                        best[key] = (i, EventualReceptionViolation(
-                            sender, receiver, label, sort))
+        for ri, moves, shift, mask, receiving in role_rows:
+            if not bits & moves and (code := cfg >> shift & mask) in receiving:
+                best.setdefault((ri, code), i)
+        for j, shift, field, peer_shift, peer_mask in channel_rows:
+            # the sentinel alone is the empty queue
+            if not bits >> j & 1 and cfg >> shift & field > 1:
+                best.setdefault((~j, cfg >> peer_shift & peer_mask), i)
 
-    violations = [
-        Violation(kind, node, extract_trace(graph, node))
-        for node, kind in best.values()]
+    # Each key is named once, at its first witness: the waiting role's
+    # state, or the channel and the message at its head.
+    violations = []
+    for (index, _), node in best.items():
+        cfg = configs[node]
+        kind = (ProgressViolation(roles[index], graph.state(cfg, index)) if index >= 0 else
+                EventualReceptionViolation(*channels[~index], *graph.queue(cfg, ~index)[0]))
+        violations.append(Violation(kind, node, extract_trace(graph, node)))
     # witness ids follow BFS order, so a trace is never shorter than an
     # earlier witness's
     violations.sort(key=lambda v: (

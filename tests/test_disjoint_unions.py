@@ -104,3 +104,53 @@ def test_wide_unions_multiply_their_parts():
     # 39 and 3 at the time of writing
     assert checked >= 30 and wide >= 2, (checked, wide)
     assert time.process_time() - started < 5.0
+
+
+def _decoded(graph, roles, channels) -> tuple:
+    """Per node of `graph`, the states of `roles` and the queues of
+    `channels` (each given by index)."""
+    return [(tuple(graph.state(cfg, ri) for ri in roles),
+             tuple(graph.queue(cfg, j) for j in channels)) for cfg in graph.configs]
+
+
+def test_union_nodes_reach_what_their_parts_reach():
+    # Decode each union node into one node per part.  A path of the union
+    # moves the parts independently, so the union node reaches each event
+    # its parts reach and no other: its `reach` value is the OR of theirs,
+    # a part's bits moved to the union's channel numbering.  A candidate of
+    # a union channel is one of its part's candidates, beside any node of
+    # the other parts.
+    rng = random.Random(20261024)
+    started = time.process_time()
+    values = counts = 0
+
+    def draw() -> System:
+        return own_move_system(rng) if rng.random() < 0.2 else random_system(rng)
+
+    for _ in range(300):
+        parts = _parts([draw(), draw()])
+        union = System(tuple(r for part in parts for r in part.roles),
+                       {r: m for part in parts for r, m in part.machines.items()})
+        c = len(union.channels)
+        for k in (1, 2):
+            graph = build_bounded_graph(union, k)
+            n, want = len(graph.configs), [0] * len(graph.configs)
+            for part in parts:
+                part_graph = build_bounded_graph(part, k)
+                cp, n_i = len(part.channels), len(part_graph.configs)
+                at = [union.channel_index[ch] for ch in part.channels]
+                node = {key: v for v, key in enumerate(
+                    _decoded(part_graph, range(len(part.roles)), range(cp)))}
+                moved = [sum((bits >> j & 1) << J | (bits >> cp + j & 1) << c + J
+                             for j, J in enumerate(at)) for bits in part_graph.reach]
+                keys = _decoded(graph, [union.role_index[r] for r in part.roles], at)
+                for u, key in enumerate(keys):
+                    want[u] |= moved[node[key]]
+                for j, J in enumerate(at):
+                    assert len(graph.blocked[J]) == len(part_graph.blocked[j]) * n // n_i
+                    counts += 1
+            assert graph.reach == want
+            values += n
+    # 19,772 node values and 1,888 candidate counts at the time of writing
+    assert values >= 15_000 and counts >= 1_500, (values, counts)
+    assert time.process_time() - started < 5.0

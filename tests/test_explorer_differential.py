@@ -6,13 +6,14 @@ Systems with negative, sparse or huge state ids, and queues whose fields
 outgrow a machine word, pin the packed layout."""
 from __future__ import annotations
 
+import dataclasses
 import random
 import sys
 import time
 
 import pytest
 
-from kmcheck.checker import Safe, Unsafe, check_kmc_detailed
+from kmcheck.checker import ProgressViolation, Safe, Unsafe, check_kmc_detailed
 from kmcheck.dsl import parse_system
 from kmcheck.model import Direction, Machine, System, receive, send
 from kmcheck.semantics import ResourceExhausted, build_bounded_graph
@@ -163,29 +164,34 @@ def test_sparse_and_huge_state_ids_pack():
 
 def _renumbered(system, rng: random.Random):
     """`system` with every machine's states renamed to distinct negative,
-    sparse or huge ids in an order unrelated to the old one."""
-    machines = {}
+    sparse or huge ids in an order unrelated to the old one, and the
+    renaming, as role -> old id -> new id."""
+    machines, renaming = {}, {}
     for role, m in system.machines.items():
         ids: set[int] = set()
         while len(ids) < len(m.states):
             ids.add(rng.choice((-1, 1)) * rng.getrandbits(rng.choice((3, 20, 70))))
-        new = dict(zip(sorted(m.states), rng.sample(sorted(ids), len(ids))))
+        new = renaming[role] = dict(zip(sorted(m.states), rng.sample(sorted(ids), len(ids))))
         machines[role] = Machine(frozenset(new.values()), new[m.initial],
                                  tuple((new[s], a, new[d]) for s, a, d in m.transitions))
-    return System(system.roles, machines)
+    return System(system.roles, machines), renaming
 
 
 def test_renumbered_random_states_pack():
     rng = random.Random(4242)
     for _ in range(150):
         system = random_system(rng, max_roles=4, max_states=6)
-        renumbered = _renumbered(system, rng)
+        renumbered, renaming = _renumbered(system, rng)
         for k in (1, 2, 3):
             _agrees(renumbered, k)
         before, after = _verdict(system), _verdict(renumbered)
         if isinstance(before[0], Unsafe):  # violations name states: compare them renamed
-            assert [v.witness for v in before[0].violations] \
-                == [v.witness for v in after[0].violations]
+            renamed = tuple(
+                dataclasses.replace(v, kind=ProgressViolation(
+                    v.kind.role, renaming[v.kind.role][v.kind.state]))
+                if isinstance(v.kind, ProgressViolation) else v
+                for v in before[0].violations)
+            assert Unsafe(before[0].k, renamed) == after[0]
             before, after = before[1:], after[1:]
         assert before == after
 
